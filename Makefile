@@ -73,11 +73,14 @@ race:
 # Seed-corpus fuzz pass: each fuzz target's seed corpus runs as unit
 # tests, guarding the decode → Validate → evaluate paths (the
 # coordinator's validateSpec among them) against panics on malformed
-# fault schedules and scenario JSON.  Longer exploratory runs:
-# `go test -fuzz FuzzSpecJSON ./internal/scenario/`.
+# fault schedules and scenario JSON, and the control API's request
+# decoding (bodies and the lease long poll's wait) against 5xx answers.
+# Longer exploratory runs:
+# `go test -run NONE -fuzz FuzzSpecJSON -fuzztime 2m ./internal/scenario/`.
 fuzz:
 	$(GO) test -run 'FuzzScheduleValidate|FuzzRescaleValidate' ./internal/fault/
 	$(GO) test -run 'FuzzSpecJSON' ./internal/scenario/
+	$(GO) test -run 'FuzzAPIRequests' ./internal/ctl/
 
 # Every shipped scenario spec must parse, validate and compile.
 scenario-validate:

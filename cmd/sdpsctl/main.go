@@ -317,7 +317,7 @@ func cmdAgent(pos, args []string) {
 	workers := fs.Int("workers", 1, "concurrent cell executors to run")
 	cacheSize := fs.Int("cell-cache", 4096, "finished-cell result cache entries, shared by this process's workers (0 disables)")
 	warmStart := fs.Bool("warm-start", false, "seed sustainable-throughput searches from prior brackets in the cell cache (faster, but artifacts are no longer byte-identical to cold runs)")
-	poll := fs.Duration("poll", 0, "idle re-poll interval (default 50ms); coordinator errors back off exponentially from here")
+	poll := fs.Duration("poll", 0, "longest idle wait per lease request (default 50ms; the coordinator answers as soon as work is queued); coordinator errors back off exponentially from here")
 	fs.Parse(args)
 	if len(pos) != 0 {
 		fatalf("agent takes no positional arguments")
@@ -349,7 +349,7 @@ func cmdAgent(pos, args []string) {
 			}
 		}()
 	}
-	fmt.Fprintf(os.Stderr, "sdpsctl: %d agent worker(s) polling %s (Ctrl-C to stop)\n", *workers, *coord)
+	fmt.Fprintf(os.Stderr, "sdpsctl: %d agent worker(s) leasing from %s (Ctrl-C to stop)\n", *workers, *coord)
 	wg.Wait()
 }
 

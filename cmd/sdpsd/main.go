@@ -68,7 +68,18 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: ctl.NewHandler(coord)}
+	// ReadHeaderTimeout bounds a client that trickles its request
+	// headers, and the API caps every request body it reads.  There is
+	// deliberately no WriteTimeout: event watches stream for a run's
+	// lifetime and lease long polls hold their response until work is
+	// queued, so a write deadline would cut both off.  They end with the
+	// client's connection or the coordinator's shutdown instead.
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           ctl.NewHandler(coord),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "sdpsd: listening on %s, store %s, %d in-process agent(s), %d run(s) resumed\n",

@@ -20,10 +20,11 @@ type Agent struct {
 	Name string
 	// API is the coordinator surface.
 	API AgentAPI
-	// Poll is the idle re-poll interval (default 50ms).  Coordinator
-	// errors instead back off exponentially with jitter, from Poll up to
-	// MaxBackoff — an empty queue is cheap to ask about again, a dead
-	// coordinator is not.
+	// Poll is the longest an idle agent waits inside one Lease call
+	// (default 50ms); the coordinator answers the moment a cell is
+	// queued, and the agent leases again at once after an empty answer.
+	// It also paces heartbeats.  Coordinator errors instead back off
+	// exponentially with jitter, from Poll up to MaxBackoff.
 	Poll time.Duration
 	// MaxBackoff caps the error backoff (default 5s).  Once the agent
 	// has seen a lease TTL, backoff is further capped to a third of it,
@@ -82,7 +83,7 @@ func (a *Agent) Run(ctx context.Context) error {
 			id = rid
 			bo.Reset()
 		}
-		task, err := a.API.Lease(id)
+		task, err := a.API.Lease(ctx, id, poll)
 		switch {
 		case err != nil:
 			if errors.Is(err, ErrNotFound) {
@@ -92,11 +93,9 @@ func (a *Agent) Run(ctx context.Context) error {
 				return nil
 			}
 		case task == nil:
-			// An empty queue is not an error: plain fixed-interval poll.
+			// Nothing was queued within the wait: lease again, which
+			// blocks until work arrives.
 			bo.Reset()
-			if !sleepCtx(ctx, poll) {
-				return nil
-			}
 		default:
 			bo.Reset()
 			if task.TTL > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 )
 
 // The REST surface, versioned under /api/v1:
@@ -20,12 +21,29 @@ import (
 //	POST /api/v1/runs/{id}/abort          {"reason"} -> RunInfo (run fails, nothing re-queues)
 //	POST /api/v1/agents                   {"name"} -> {"agent_id"}
 //	POST /api/v1/agents/{id}/heartbeat
-//	POST /api/v1/agents/{id}/lease        -> LeaseTask, or 204 if idle
+//	POST /api/v1/agents/{id}/lease?wait=<dur>
+//	                                      -> LeaseTask, or 204 if nothing was
+//	                                         queued within wait (a Go duration,
+//	                                         clamped to lease-ttl/3; absent = 0)
 //	POST /api/v1/leases/{id}/complete     body = canonical cell result
 //	POST /api/v1/leases/{id}/fail         {"reason"}
 //
-// Errors are {"error": "..."} with 404 for unknown IDs and 409 for stale
-// leases (the agent's cue to discard the result and poll on).
+// Errors are {"error": "..."} with 400 for malformed requests, 404 for
+// unknown IDs, 409 for stale leases (the agent's cue to discard the result
+// and lease on) and 413 for a body over its cap.
+
+// POST body caps, past which a request is refused with 413.
+const (
+	// maxSpecBody bounds a RunSpec, inline scenario included; the shipped
+	// scenario specs are a few KiB.
+	maxSpecBody = 1 << 20
+	// maxSmallBody bounds the register, abort and fail bodies.
+	maxSmallBody = 64 << 10
+	// maxResultBody bounds a cell result.  The largest the shipped
+	// experiments produce is fig10's (24 KiB at quick scale, 76 KiB at
+	// full); 8 MiB leaves two orders of magnitude for longer scenarios.
+	maxResultBody = 8 << 20
+)
 
 // NewHandler serves a coordinator's REST API.
 func NewHandler(c *Coordinator) http.Handler {
@@ -33,8 +51,7 @@ func NewHandler(c *Coordinator) http.Handler {
 
 	mux.HandleFunc("POST /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		if !decodeBody(w, r, maxSpecBody, &spec, true) {
 			return
 		}
 		info, err := c.Submit(spec)
@@ -97,8 +114,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Reason string `json:"reason"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxSmallBody, &req, false) {
 			return
 		}
 		info, err := c.Abort(r.PathValue("id"), req.Reason)
@@ -113,8 +129,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Name string `json:"name"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxSmallBody, &req, false) {
 			return
 		}
 		id, err := c.Register(req.Name)
@@ -134,7 +149,14 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /api/v1/agents/{id}/lease", func(w http.ResponseWriter, r *http.Request) {
-		task, err := c.Lease(r.PathValue("id"))
+		wait, err := leaseWait(r.URL.Query().Get("wait"), c.opt.LeaseTTL)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		// The long poll ends with the request, so a client that goes
+		// away frees its handler at once.
+		task, err := c.Lease(r.Context(), r.PathValue("id"), wait)
 		if err != nil {
 			writeErr(w, statusFor(err), err)
 			return
@@ -147,9 +169,9 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /api/v1/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		result, err := io.ReadAll(r.Body)
+		result, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBody))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyStatus(err), err)
 			return
 		}
 		if err := c.Complete(r.PathValue("id"), result); err != nil {
@@ -163,8 +185,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		var req struct {
 			Reason string `json:"reason"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, maxSmallBody, &req, false) {
 			return
 		}
 		if err := c.Fail(r.PathValue("id"), req.Reason); err != nil {
@@ -175,6 +196,43 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	return mux
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 400 (413 past the cap) itself when it cannot.  An empty body
+// leaves v zero unless required.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, required bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil || (!required && errors.Is(err, io.EOF)) {
+		return true
+	}
+	writeErr(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// leaseWait parses a lease request's long-poll bound.  It is clamped to a
+// third of the lease TTL, so an idle agent still calls in (and so sweeps
+// expired leases) several times per TTL.
+func leaseWait(q string, ttl time.Duration) (time.Duration, error) {
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil {
+		return 0, fmt.Errorf("bad wait: %w", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("bad wait %q: negative", q)
+	}
+	return min(d, ttl/3), nil
 }
 
 // serveEvents streams a run's progress as server-sent events ("data:"

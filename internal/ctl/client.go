@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 )
@@ -26,8 +27,9 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// Timeout bounds each non-streaming request (default 30s; Watch is
-	// exempt, it streams for the run's lifetime under its own context).
+	// Timeout bounds each non-streaming request (default 30s; a lease
+	// long poll gets its wait on top, and Watch is exempt, it streams
+	// for the run's lifetime under its own context).
 	Timeout time.Duration
 	// Retries is how many extra attempts idempotent calls make on
 	// transport errors (default 2).
@@ -77,7 +79,7 @@ func (c *Client) do(method, path string, body any, out any) error {
 	if err != nil {
 		return err
 	}
-	return c.doOnce(method, path, payload, hasBody, out)
+	return c.doOnce(context.Background(), 0, method, path, payload, hasBody, out)
 }
 
 // doRetry is do for idempotent requests: transport errors retry with
@@ -93,7 +95,7 @@ func (c *Client) doRetry(method, path string, body any, out any) error {
 		if i > 0 {
 			c.sleep(bo.Next())
 		}
-		last = c.doOnce(method, path, payload, hasBody, out)
+		last = c.doOnce(context.Background(), 0, method, path, payload, hasBody, out)
 		var te *transportError
 		if last == nil || !errors.As(last, &te) {
 			return last
@@ -102,15 +104,16 @@ func (c *Client) doRetry(method, path string, body any, out any) error {
 	return last
 }
 
-func (c *Client) doOnce(method, path string, payload []byte, hasBody bool, out any) error {
+// doOnce issues one request under ctx and the client timeout extended by
+// extra (a long poll's server-side wait).
+func (c *Client) doOnce(ctx context.Context, extra time.Duration, method, path string, payload []byte, hasBody bool, out any) error {
 	var rdr io.Reader
 	if hasBody {
 		rdr = bytes.NewReader(payload)
 	}
-	ctx := context.Background()
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.Timeout+extra)
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rdr)
@@ -320,34 +323,24 @@ func (c *Client) Heartbeat(agentID string) error {
 	return c.doRetry("POST", "/api/v1/agents/"+agentID+"/heartbeat", nil, nil)
 }
 
-// Lease implements AgentAPI; a nil task means no work is queued.  Leasing
-// mutates coordinator state, so it never retries — the agent loop's
-// backoff owns that.
-func (c *Client) Lease(agentID string) (*LeaseTask, error) {
-	ctx := context.Background()
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/api/v1/agents/"+agentID+"/lease", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		return nil, nil
-	case resp.StatusCode >= 400:
-		return nil, apiError(resp)
+// Lease implements AgentAPI as a long poll: the coordinator holds the
+// request until a cell is queued or wait passes, and the request timeout is
+// extended by wait.  Leasing mutates coordinator state, so it never
+// retries — the agent loop's backoff owns that.
+func (c *Client) Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error) {
+	path := "/api/v1/agents/" + agentID + "/lease"
+	if wait > 0 {
+		path += "?" + url.Values{"wait": {wait.String()}}.Encode()
 	}
 	var task LeaseTask
-	if err := json.NewDecoder(resp.Body).Decode(&task); err != nil {
+	if err := c.doOnce(ctx, wait, "POST", path, nil, false, &task); err != nil {
+		if ctx.Err() != nil {
+			return nil, nil // the agent is stopping, not the coordinator failing
+		}
 		return nil, err
+	}
+	if task.LeaseID == "" {
+		return nil, nil // 204: nothing was queued within wait
 	}
 	return &task, nil
 }

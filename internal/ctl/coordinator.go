@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -63,6 +64,15 @@ type Coordinator struct {
 
 	subs   map[int]*subscriber
 	subSeq int
+
+	// wake is closed and replaced whenever cells are queued, releasing
+	// every Lease blocked on an empty queue.
+	wake chan struct{}
+	// blocked counts the Leases waiting on wake (tests wait on it).
+	blocked atomic.Int32
+	// stopped is closed when the Start context ends.
+	stopped  chan struct{}
+	stopOnce sync.Once
 }
 
 type cellRef struct {
@@ -110,12 +120,14 @@ type subscriber struct {
 // executions, never completed results or counted attempts.
 func NewCoordinator(store *Store, opt CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
-		store:  store,
-		opt:    opt.withDefaults(),
-		runs:   map[string]*run{},
-		leases: map[string]*lease{},
-		agents: map[string]*agentState{},
-		subs:   map[int]*subscriber{},
+		store:   store,
+		opt:     opt.withDefaults(),
+		runs:    map[string]*run{},
+		leases:  map[string]*lease{},
+		agents:  map[string]*agentState{},
+		subs:    map[int]*subscriber{},
+		wake:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	manifests, err := store.LoadRuns()
 	if err != nil {
@@ -228,7 +240,8 @@ func (c *Coordinator) resume(m *RunManifest) error {
 
 // Start runs the lease-expiry sweeper until ctx is done.  Sweeps also
 // happen opportunistically on every Lease/Heartbeat, so Start is only
-// needed to reclaim leases while no agent is polling.
+// needed to reclaim leases while no agent calls in.  When ctx ends, every
+// blocked Lease returns at once.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
 		t := time.NewTicker(c.opt.LeaseTTL / 2)
@@ -236,6 +249,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 		for {
 			select {
 			case <-ctx.Done():
+				c.stopOnce.Do(func() { close(c.stopped) })
 				return
 			case <-t.C:
 				c.mu.Lock()
@@ -285,6 +299,7 @@ func (c *Coordinator) Submit(spec RunSpec) (RunInfo, error) {
 	for i := range r.cells {
 		c.queue = append(c.queue, cellRef{runID: r.m.ID, idx: i})
 	}
+	c.wakeLocked()
 	c.emitLocked(Event{Type: "run", RunID: r.m.ID, Status: r.m.Status, Total: len(r.cells)})
 	return c.infoLocked(r, false), nil
 }
@@ -414,14 +429,47 @@ func (c *Coordinator) Heartbeat(agentID string) error {
 	return nil
 }
 
-// Lease implements AgentAPI: sweeps expired leases, then hands the head of
-// the queue to the agent under a fresh TTL.
-func (c *Coordinator) Lease(agentID string) (*LeaseTask, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Lease implements AgentAPI.  Each attempt sweeps expired leases and
+// hands the head of the queue to the agent under a fresh TTL.  On an empty
+// queue it blocks, without holding c.mu, until cells are queued, wait
+// passes, ctx ends or the Start context ends; only the first wakes it to
+// try again.  wait <= 0 never blocks.
+func (c *Coordinator) Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error) {
+	var timeout <-chan time.Time
+	for {
+		c.mu.Lock()
+		task, wake, err := c.leaseLocked(agentID)
+		c.mu.Unlock()
+		if task != nil || err != nil || wait <= 0 {
+			return task, err
+		}
+		if timeout == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		c.blocked.Add(1)
+		woken := false
+		select {
+		case <-wake:
+			woken = true
+		case <-timeout:
+		case <-ctx.Done():
+		case <-c.stopped:
+		}
+		c.blocked.Add(-1)
+		if !woken {
+			return nil, nil
+		}
+	}
+}
+
+// leaseLocked makes one lease attempt.  On an empty queue it returns the
+// current wake channel, which the next queued cell closes.
+func (c *Coordinator) leaseLocked(agentID string) (*LeaseTask, <-chan struct{}, error) {
 	a, ok := c.agents[agentID]
 	if !ok {
-		return nil, fmt.Errorf("%w: agent %s", ErrNotFound, agentID)
+		return nil, nil, fmt.Errorf("%w: agent %s", ErrNotFound, agentID)
 	}
 	now := c.opt.Clock()
 	a.lastSeen = now
@@ -461,9 +509,9 @@ func (c *Coordinator) Lease(agentID string) (*LeaseTask, error) {
 			CellIndex: ref.idx,
 			CellID:    r.cells[ref.idx].ID,
 			TTL:       c.opt.LeaseTTL,
-		}, nil
+		}, nil, nil
 	}
-	return nil, nil
+	return nil, c.wake, nil
 }
 
 // Complete implements AgentAPI: stores the cell result and, when it was
@@ -535,6 +583,7 @@ func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
 	}
 	r.status[idx] = CellPending
 	c.queue = append(c.queue, cellRef{runID: r.m.ID, idx: idx})
+	c.wakeLocked()
 	c.emitLocked(Event{
 		Type: "cell", RunID: r.m.ID, Status: r.m.Status,
 		Cell: r.cells[idx].ID, CellStatus: CellPending, Agent: r.agent[idx],
@@ -543,7 +592,14 @@ func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
 	return c.store.SaveRun(&r.m)
 }
 
-// sweepLocked re-queues the cells of every expired lease.
+// wakeLocked releases every Lease blocked on an empty queue.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// sweepLocked re-queues the cells of every expired lease (retryLocked
+// wakes blocked Leases).
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for id, l := range c.leases {
 		if !now.After(l.expires) {

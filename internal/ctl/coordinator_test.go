@@ -119,7 +119,7 @@ func directArtifact(t *testing.T, exp core.Experiment, spec RunSpec) []byte {
 	return data
 }
 
-func newTestCoordinator(t *testing.T, opt CoordinatorOptions) (*Coordinator, *Store) {
+func newTestCoordinator(t testing.TB, opt CoordinatorOptions) (*Coordinator, *Store) {
 	t.Helper()
 	store, err := NewStore(t.TempDir())
 	if err != nil {
@@ -239,18 +239,18 @@ func TestLeaseExpiryRequeuesCell(t *testing.T) {
 
 	// Agent a1 takes the only cell and goes silent.
 	a1, _ := c.Register("a1")
-	task1, err := c.Lease(a1)
+	task1, err := c.Lease(context.Background(), a1, 0)
 	if err != nil || task1 == nil {
 		t.Fatalf("lease: %+v, %v", task1, err)
 	}
 	// Within the TTL nothing is re-queued.
 	a2, _ := c.Register("a2")
-	if task, _ := c.Lease(a2); task != nil {
+	if task, _ := c.Lease(context.Background(), a2, 0); task != nil {
 		t.Fatalf("cell double-leased: %+v", task)
 	}
 	// Past the TTL the cell comes back, with the attempt recorded.
 	clk.Advance(11 * time.Second)
-	task2, err := c.Lease(a2)
+	task2, err := c.Lease(context.Background(), a2, 0)
 	if err != nil || task2 == nil {
 		t.Fatalf("expired cell not re-leased: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	a1, _ := c.Register("a1")
-	task, err := c.Lease(a1)
+	task, err := c.Lease(context.Background(), a1, 0)
 	if err != nil || task == nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		if err := c.Heartbeat(a1); err != nil {
 			t.Fatal(err)
 		}
-		if stolen, _ := c.Lease(a2); stolen != nil {
+		if stolen, _ := c.Lease(context.Background(), a2, 0); stolen != nil {
 			t.Fatalf("heartbeated lease was re-queued at step %d", i)
 		}
 	}
@@ -317,7 +317,7 @@ func TestFailuresExhaustAttemptsAndFailRun(t *testing.T) {
 	a, _ := c.Register("a")
 	failures := 0
 	for i := 0; i < 10; i++ {
-		task, err := c.Lease(a)
+		task, err := c.Lease(context.Background(), a, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestFailuresExhaustAttemptsAndFailRun(t *testing.T) {
 		t.Fatalf("failure should name the cell: %q", ri.Error)
 	}
 	// A failed run's remaining cells are gone from the queue.
-	if task, _ := c.Lease(a); task != nil {
+	if task, _ := c.Lease(context.Background(), a, 0); task != nil {
 		t.Fatalf("failed run still queued: %+v", task)
 	}
 	if _, err := c.Artifact(info.ID); err == nil {
@@ -383,7 +383,7 @@ func TestCoordinatorResumesFromStore(t *testing.T) {
 	// Complete exactly two cells, then "crash" (drop c1 on the floor).
 	a, _ := c1.Register("a")
 	for i := 0; i < 2; i++ {
-		task, err := c1.Lease(a)
+		task, err := c1.Lease(context.Background(), a, 0)
 		if err != nil || task == nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestSubmitUnknownExperiment(t *testing.T) {
 	if _, err := c.Run("run-9999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown run: %v", err)
 	}
-	if _, err := c.Lease("agent-9999"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Lease(context.Background(), "agent-9999", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown agent: %v", err)
 	}
 }

@@ -18,6 +18,7 @@
 package ctl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -207,8 +208,11 @@ type AgentAPI interface {
 	Register(name string) (string, error)
 	// Heartbeat refreshes the agent's liveness and extends its leases.
 	Heartbeat(agentID string) error
-	// Lease asks for work; a nil task means the queue is empty.
-	Lease(agentID string) (*LeaseTask, error)
+	// Lease asks for work.  It returns a task as soon as one is queued,
+	// or nil once wait has passed with none; wait <= 0 does not block.  It
+	// also returns nil early when ctx ends, or when the coordinator shuts
+	// down.
+	Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error)
 	// Complete delivers a cell's canonical result encoding.
 	Complete(leaseID string, result []byte) error
 	// Fail reports that the cell's execution errored.

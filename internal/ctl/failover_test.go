@@ -21,8 +21,8 @@ type killAfterLeases struct {
 	kill  func()
 }
 
-func (k *killAfterLeases) Lease(agentID string) (*LeaseTask, error) {
-	task, err := k.AgentAPI.Lease(agentID)
+func (k *killAfterLeases) Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error) {
+	task, err := k.AgentAPI.Lease(ctx, agentID, wait)
 	if task != nil && k.n.Add(1) == k.after {
 		k.kill()
 	}

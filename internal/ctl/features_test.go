@@ -25,7 +25,7 @@ func TestAbortRun(t *testing.T) {
 	}
 	// One cell is in flight when the abort lands.
 	a, _ := c.Register("a")
-	task, err := c.Lease(a)
+	task, err := c.Lease(context.Background(), a, 0)
 	if err != nil || task == nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAbortRun(t *testing.T) {
 	}
 	// Nothing re-queues: the queue is empty and the attempt counters are
 	// untouched.
-	if task2, _ := c.Lease(a); task2 != nil {
+	if task2, _ := c.Lease(context.Background(), a, 0); task2 != nil {
 		t.Fatalf("aborted run still queued: %+v", task2)
 	}
 	for _, cell := range aborted.Cells {
@@ -76,7 +76,7 @@ func TestAbortRun(t *testing.T) {
 		t.Fatalf("abort not persisted: %+v", ri)
 	}
 	a2, _ := c2.Register("a2")
-	if task, _ := c2.Lease(a2); task != nil {
+	if task, _ := c2.Lease(context.Background(), a2, 0); task != nil {
 		t.Fatalf("restart re-queued an aborted run: %+v", task)
 	}
 }

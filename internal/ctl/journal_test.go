@@ -61,7 +61,7 @@ func TestLeaseExpiryRacesAssembly(t *testing.T) {
 
 	// Agent a completes cell 0, leases cell 1 and goes silent.
 	a, _ := c.Register("a")
-	task0, err := c.Lease(a)
+	task0, err := c.Lease(context.Background(), a, 0)
 	if err != nil || task0 == nil {
 		t.Fatalf("lease 0: %+v, %v", task0, err)
 	}
@@ -72,7 +72,7 @@ func TestLeaseExpiryRacesAssembly(t *testing.T) {
 	if err := c.Complete(task0.LeaseID, res0); err != nil {
 		t.Fatal(err)
 	}
-	task1, err := c.Lease(a)
+	task1, err := c.Lease(context.Background(), a, 0)
 	if err != nil || task1 == nil {
 		t.Fatalf("lease 1: %+v, %v", task1, err)
 	}
@@ -80,7 +80,7 @@ func TestLeaseExpiryRacesAssembly(t *testing.T) {
 	// Past the TTL agent b picks the cell up and finishes the run.
 	clk.Advance(11 * time.Second)
 	b, _ := c.Register("b")
-	task1b, err := c.Lease(b)
+	task1b, err := c.Lease(context.Background(), b, 0)
 	if err != nil || task1b == nil {
 		t.Fatalf("expired cell not re-leased: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestJournalReplaysFailBeforeRequeue(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, _ := c1.Register("a")
-		task, err := c1.Lease(a)
+		task, err := c1.Lease(context.Background(), a, 0)
 		if err != nil || task == nil {
 			t.Fatalf("lease: %+v, %v", task, err)
 		}
@@ -184,7 +184,7 @@ func TestJournalReplaysFailBeforeRequeue(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, _ := c1.Register("a")
-		task, err := c1.Lease(a)
+		task, err := c1.Lease(context.Background(), a, 0)
 		if err != nil || task == nil {
 			t.Fatalf("lease: %+v, %v", task, err)
 		}
@@ -257,7 +257,7 @@ func TestJournalCrashRecoveryProperty(t *testing.T) {
 			a, _ := c1.Register("crash-victim")
 			steps := 1 + rng.Intn(cells)
 			for i := 0; i < steps; i++ {
-				task, err := c1.Lease(a)
+				task, err := c1.Lease(context.Background(), a, 0)
 				if err != nil || task == nil {
 					break
 				}
@@ -333,7 +333,7 @@ func TestResumeQuarantinesCorruptResult(t *testing.T) {
 	// Complete the first two cells, then crash.
 	a, _ := c1.Register("a")
 	for i := 0; i < 2; i++ {
-		task, err := c1.Lease(a)
+		task, err := c1.Lease(context.Background(), a, 0)
 		if err != nil || task == nil {
 			t.Fatalf("lease %d: %+v, %v", i, task, err)
 		}
@@ -428,11 +428,11 @@ func (f *flakyAPI) Heartbeat(agentID string) error {
 	return f.inner.Heartbeat(agentID)
 }
 
-func (f *flakyAPI) Lease(agentID string) (*LeaseTask, error) {
+func (f *flakyAPI) Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error) {
 	if f.down.Load() {
 		return nil, f.err()
 	}
-	return f.inner.Lease(agentID)
+	return f.inner.Lease(ctx, agentID, wait)
 }
 
 func (f *flakyAPI) Complete(leaseID string, result []byte) error {
@@ -554,11 +554,11 @@ type forgetfulAPI struct {
 	forgotten *atomic.Bool
 }
 
-func (f *forgetfulAPI) Lease(agentID string) (*LeaseTask, error) {
+func (f *forgetfulAPI) Lease(ctx context.Context, agentID string, wait time.Duration) (*LeaseTask, error) {
 	if f.forgotten.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("%w: agent %s", ErrNotFound, agentID)
 	}
-	return f.flakyAPI.Lease(agentID)
+	return f.flakyAPI.Lease(ctx, agentID, wait)
 }
 
 // TestJournalTornTailIsIgnored: a crash mid-append leaves a torn final
@@ -572,7 +572,7 @@ func TestJournalTornTailIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := c1.Register("a")
-	if task, err := c1.Lease(a); err != nil || task == nil {
+	if task, err := c1.Lease(context.Background(), a, 0); err != nil || task == nil {
 		t.Fatalf("lease: %+v, %v", task, err)
 	}
 	// The torn tail: half a JSON object with no newline.
