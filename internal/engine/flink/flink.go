@@ -302,14 +302,7 @@ func (j *job) tick(now sim.Time) {
 		// window's two sides are built, probed and the result volume
 		// pushed to the sink, so emission stretches over a large part
 		// of the window span, proportional to the window's fill level.
-		var fireWeight int64
-		for i := range fw.Purchases {
-			fireWeight += fw.Purchases[i].Weight
-		}
-		for i := range fw.Ads {
-			fireWeight += fw.Ads[i].Weight
-		}
-		loadFactor := float64(fireWeight) / (j.cpuLaw.Cap(j.rt.Cfg.Cluster.Workers()) * j.rt.Cfg.Query.WindowSize.Seconds())
+		loadFactor := float64(fw.Weight) / (j.cpuLaw.Cap(j.rt.Cfg.Cluster.Workers()) * j.rt.Cfg.Query.WindowSize.Seconds())
 		if loadFactor > 1.5 {
 			loadFactor = 1.5
 		}

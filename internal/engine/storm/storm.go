@@ -396,18 +396,14 @@ func (j *job) fire(now sim.Time, cap float64) {
 	}
 	if j.agg != nil {
 		for _, fw := range j.agg.Fire(wm) {
-			var fireWeight int64
-			for i := range fw.Events {
-				fireWeight += fw.Events[i].Weight
-			}
 			if cap > 0 {
-				j.debt += fireCostShare * float64(fireWeight) / cap
+				j.debt += fireCostShare * float64(fw.Weight) / cap
 			}
 			emit := now + time.Duration(j.debt*float64(time.Second))
 			for _, r := range j.agg.Aggregate(fw) {
 				j.rt.EmitAgg(r, emit)
 			}
-			j.agg.Recycle(fw.Events)
+			j.agg.Recycle(fw)
 		}
 		return
 	}
@@ -416,15 +412,8 @@ func (j *job) fire(now sim.Time, cap float64) {
 		// hash join, only the cost differs, and that cost is charged as
 		// fire debt below (joinFireCostShare of the window weight).
 		results, _ := window.NestedLoopJoinWindow(fw.Window, fw.Purchases, fw.Ads)
-		var fireWeight int64
-		for i := range fw.Purchases {
-			fireWeight += fw.Purchases[i].Weight
-		}
-		for i := range fw.Ads {
-			fireWeight += fw.Ads[i].Weight
-		}
 		if cap > 0 {
-			j.debt += joinFireCostShare * float64(fireWeight) / cap
+			j.debt += joinFireCostShare * float64(fw.Weight) / cap
 		}
 		emit := now + time.Duration(j.debt*float64(time.Second))
 		for _, r := range results {

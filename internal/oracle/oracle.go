@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/tuple"
-	"repro/internal/window"
 	"repro/internal/workload"
 )
 
@@ -71,33 +70,37 @@ func Aggregate(q workload.Query, events []tuple.Event) []AggResult {
 }
 
 // JoinResultCount returns, per window end, the number of matching
-// (purchase, ad) pairs the join query should produce.
+// (purchase, ad) pairs the join query should produce: for every window,
+// the pairs agreeing on (userID, gemPackID), counted by brute force as
+// the product of each join key's purchase and ad counts.
 func JoinResultCount(q workload.Query, events []tuple.Event) map[time.Duration]int {
 	asg := q.Assigner()
-	type side struct {
-		purchases []tuple.Event
-		ads       []tuple.Event
+	type cell struct {
+		end             time.Duration
+		user, gemPackID int64
 	}
-	byWindow := map[time.Duration]*side{}
+	purchases, ads := map[cell]int{}, map[cell]int{}
 	for i := range events {
 		e := &events[i]
 		for _, w := range asg.Assign(e.EventTime) {
-			s, ok := byWindow[w.End]
-			if !ok {
-				s = &side{}
-				byWindow[w.End] = s
-			}
+			c := cell{end: w.End, user: e.UserID, gemPackID: e.GemPackID}
 			if e.Stream == tuple.Ads {
-				s.ads = append(s.ads, *e)
+				ads[c]++
 			} else {
-				s.purchases = append(s.purchases, *e)
+				purchases[c]++
 			}
 		}
 	}
+	// Every window holding events gets an entry, zero when nothing
+	// matches.
 	out := map[time.Duration]int{}
-	for end, s := range byWindow {
-		res := window.HashJoinWindow(window.ID{End: end}, s.purchases, s.ads)
-		out[end] = len(res)
+	for c, np := range purchases {
+		out[c.end] += np * ads[c]
+	}
+	for c := range ads {
+		if _, ok := out[c.end]; !ok {
+			out[c.end] = 0
+		}
 	}
 	return out
 }

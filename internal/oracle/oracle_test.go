@@ -7,6 +7,8 @@ import (
 	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/ideal"
+	"repro/internal/engine/spark"
 	"repro/internal/engine/storm"
 	"repro/internal/generator"
 	"repro/internal/oracle"
@@ -98,47 +100,62 @@ func runOracleCheck(t *testing.T, eng engine.Engine) {
 	}
 }
 
-// TestFlinkJoinCountMatchesOracle verifies the join pipeline produces
-// exactly the pairs a brute-force evaluation finds, per interior window.
-func TestFlinkJoinCountMatchesOracle(t *testing.T) {
-	q := workload.Default(workload.Join)
-
-	var log []tuple.Event
-	var outputs []*tuple.Output
-	cfg := driver.Config{
-		Seed:           13,
-		Workers:        2,
-		Rate:           generator.ConstantRate(0.2e6),
-		Query:          q,
-		RunFor:         80 * time.Second,
-		EventsPerTuple: 200,
-		EventTap:       func(e *tuple.Event) { log = append(log, *e) },
-		OutputTap:      func(o *tuple.Output) { c := *o; outputs = append(outputs, &c) },
-	}
-	res, err := driver.Run(flink.New(flink.Options{}), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed {
-		t.Fatalf("run failed: %s", res.FailReason)
-	}
-	want := oracle.JoinResultCount(q, log)
-	got := map[time.Duration]int{}
-	for _, o := range outputs {
-		got[o.WindowEnd]++
-	}
-	checked := 0
-	for end, n := range want {
-		if end <= 20*time.Second || end >= 60*time.Second {
-			continue
-		}
-		checked++
-		if got[end] != n {
-			t.Fatalf("window %v: engine emitted %d pairs, oracle expects %d", end, got[end], n)
-		}
-	}
-	if checked < 5 {
-		t.Fatalf("too few interior windows checked: %d", checked)
+// TestJoinCountMatchesOracle verifies every engine's join pipeline
+// produces the pairs a brute-force evaluation finds, per interior window.
+// The event-time engines must match exactly.  Spark assigns events to
+// windows by arrival time, so an event near a window boundary can land in
+// the neighbouring window: its per-window pair counts must match within
+// 3%, the tolerance of the repository benchmark's correctness check.
+func TestJoinCountMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		eng   engine.Engine
+		exact bool
+	}{
+		{flink.New(flink.Options{}), true},
+		{storm.New(storm.Options{}), true}, // nested-loop join
+		{ideal.New(), true},
+		{spark.New(spark.Options{}), false},
+	} {
+		t.Run(tc.eng.Name(), func(t *testing.T) {
+			q := workload.Default(workload.Join)
+			var log []tuple.Event
+			var outputs []*tuple.Output
+			cfg := driver.Config{
+				Seed:           13,
+				Workers:        2,
+				Rate:           generator.ConstantRate(0.2e6),
+				Query:          q,
+				RunFor:         80 * time.Second,
+				EventsPerTuple: 200,
+				EventTap:       func(e *tuple.Event) { log = append(log, *e) },
+				OutputTap:      func(o *tuple.Output) { c := *o; outputs = append(outputs, &c) },
+			}
+			res, err := driver.Run(tc.eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed {
+				t.Fatalf("run failed: %s", res.FailReason)
+			}
+			want := oracle.JoinResultCount(q, log)
+			got := map[time.Duration]int{}
+			for _, o := range outputs {
+				got[o.WindowEnd]++
+			}
+			checked := 0
+			for end, n := range want {
+				if end <= 20*time.Second || end >= 60*time.Second {
+					continue
+				}
+				checked++
+				if g := got[end]; tc.exact && g != n || g < n*97/100 || g > n*103/100 {
+					t.Fatalf("window %v: engine emitted %d pairs, oracle expects %d", end, g, n)
+				}
+			}
+			if checked < 5 {
+				t.Fatalf("too few interior windows checked: %d", checked)
+			}
+		})
 	}
 }
 

@@ -350,6 +350,8 @@ func (q *Queue) Overflowed() bool { return q.overflow }
 type Group struct {
 	queues []*Queue
 	next   int
+	// live is PopBatch's scratch of non-empty queue indices.
+	live []int
 }
 
 // NewGroup creates n queues named prefix-0..n-1, each with capWeight.
@@ -446,49 +448,47 @@ func (g *Group) Scatter(b *tuple.Batch) {
 // PopBatch appends up to max events to dst, removed round-robin across the
 // queues one event at a time, preserving approximate arrival fairness.  It
 // moves fewer than max only when the group is drained.  The round-robin
-// cursor persists across calls so no queue is starved.
+// cursor persists across calls so no queue is starved: it is left just
+// after the last queue popped.
 //
-// The rounds in which every member can contribute — the steady-state bulk
-// of a balanced drain — move as strided per-column copies; the uneven tail
-// falls back to the event-at-a-time rotation.  The interleaving in dst is
-// identical to the historical per-event implementation.
+// The drain runs in phases over which the set of non-empty queues stays
+// the same: each phase takes as many full rounds over that set as its
+// shortest member and max allow, as one strided per-column gather per
+// queue.  When fewer events than the set's size remain to be moved, a
+// partial last round takes one event from each of the first queues in
+// cursor order.  The interleaving in dst is identical to the historical
+// per-event rotation that skips empty queues.
 func (g *Group) PopBatch(dst *tuple.Batch, max int) int {
 	size := len(g.queues)
-	if max <= 0 || size == 0 {
-		return 0
-	}
-	// Full rounds: while every queue holds at least one event, each round
-	// takes exactly one event per queue in cursor order.
-	minLen := -1
-	for _, q := range g.queues {
-		if n := q.Len(); minLen < 0 || n < minLen {
-			minLen = n
-		}
-	}
-	rounds := max / size
-	if rounds > minLen {
-		rounds = minLen
-	}
 	moved := 0
-	if rounds > 0 {
-		c := dst.Extend(rounds * size)
+	for moved < max {
+		// The non-empty queues in cursor order and their shortest length.
+		g.live = g.live[:0]
+		minLen := 0
 		for k := 0; k < size; k++ {
-			g.queues[(g.next+k)%size].popStrided(c, k, size, rounds)
+			qi := (g.next + k) % size
+			if n := g.queues[qi].Len(); n > 0 {
+				g.live = append(g.live, qi)
+				if minLen == 0 || n < minLen {
+					minLen = n
+				}
+			}
 		}
-		g.next += rounds * size
-		moved = rounds * size
-	}
-	idle := 0
-	for moved < max && idle < size {
-		q := g.queues[g.next%size]
-		g.next++
-		if e, ok := q.Pop(); ok {
-			dst.Append(e)
-			moved++
-			idle = 0
-		} else {
-			idle++
+		if len(g.live) == 0 {
+			break
 		}
+		rounds := min(minLen, (max-moved)/len(g.live))
+		if rounds == 0 {
+			g.live, rounds = g.live[:max-moved], 1
+		}
+		c := dst.Extend(rounds * len(g.live))
+		for k, qi := range g.live {
+			g.queues[qi].popStrided(c, k, len(g.live), rounds)
+		}
+		moved += rounds * len(g.live)
+		// The queues skipped between the old cursor and the last one
+		// popped are empty, so the next phase's order is unchanged.
+		g.next = (g.live[len(g.live)-1] + 1) % size
 	}
 	return moved
 }

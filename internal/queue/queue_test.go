@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -266,6 +268,78 @@ func TestGroupPopBatchDrainsUnevenQueues(t *testing.T) {
 	}
 	if g.PopBatch(b, 0) != 0 {
 		t.Fatal("max<=0 should move nothing")
+	}
+}
+
+// refPopBatch is the historical per-event round-robin drain Group.PopBatch
+// must reproduce: visit the queues from the cursor one at a time, popping
+// one event from each non-empty one, until max moved or a full idle cycle.
+func refPopBatch(g *Group, dst *tuple.Batch, max int) int {
+	size := len(g.queues)
+	moved, idle := 0, 0
+	for moved < max && idle < size {
+		q := g.queues[g.next%size]
+		g.next++
+		if e, ok := q.Pop(); ok {
+			dst.Append(e)
+			moved++
+			idle = 0
+		} else {
+			idle++
+		}
+	}
+	return moved
+}
+
+// TestGroupPopBatchMatchesPerEventReference drives PopBatch and the
+// per-event reference over identical groups — random sizes, queue lengths
+// (many queues empty), max values and cursor positions, across repeated
+// pulls — and requires the same rows in the same order, the same counts,
+// the same cursor (mod size) and the same weight totals.
+func TestGroupPopBatchMatchesPerEventReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		size := r.Intn(17) + 1
+		got, want := NewGroup("got", size, 0), NewGroup("want", size, 0)
+		got.next = r.Intn(size)
+		want.next = got.next
+		id := 0
+		for pull := 0; pull < 6; pull++ {
+			for qi := 0; qi < size; qi++ {
+				if r.Intn(3) == 0 {
+					continue // leave this queue empty or draining
+				}
+				for n := r.Intn(12); n > 0; n-- {
+					e := mkEvent(id, int64(r.Intn(300)+1))
+					id++
+					got.Queue(qi).Push(e)
+					want.Queue(qi).Push(e)
+				}
+			}
+			max := r.Intn(3 * size * 8)
+			gb, wb := tuple.NewBatch(0), tuple.NewBatch(0)
+			if gn, wn := got.PopBatch(gb, max), refPopBatch(want, wb, max); gn != wn {
+				t.Logf("seed %d pull %d: moved %d, reference %d", seed, pull, gn, wn)
+				return false
+			}
+			if !slices.Equal(gb.AppendRowsTo(nil), wb.AppendRowsTo(nil)) {
+				t.Logf("seed %d pull %d: rows differ", seed, pull)
+				return false
+			}
+			if got.next%size != want.next%size {
+				t.Logf("seed %d pull %d: cursor %d, reference %d", seed, pull, got.next%size, want.next%size)
+				return false
+			}
+			if got.Weight() != want.Weight() || got.TotalOut() != want.TotalOut() || got.Len() != want.Len() {
+				t.Logf("seed %d pull %d: weight/out/len %d/%d/%d, reference %d/%d/%d", seed, pull,
+					got.Weight(), got.TotalOut(), got.Len(), want.Weight(), want.TotalOut(), want.Len())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -262,7 +262,7 @@ func BenchmarkWindowBufferedAdd(b *testing.B) {
 		bw.Add(&e)
 		if i%40_000 == 39_999 {
 			for _, fw := range bw.Fire(e.EventTime - 8*time.Second) {
-				bw.Recycle(fw.Events)
+				bw.Recycle(fw)
 			}
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkWindowKeyedFire(b *testing.B) {
 			fired += int64(len(ia.Fire(wm)))
 			for _, fw := range bw.Fire(wm) {
 				fired += int64(len(bw.Aggregate(fw)))
-				bw.Recycle(fw.Events)
+				bw.Recycle(fw)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 package window
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/flat"
@@ -15,27 +16,45 @@ import (
 // is exactly why the Storm model hits node memory limits in the paper's
 // large-window experiment while Flink's incremental operator does not.
 //
-// Events are buffered by value: Add copies the event into each window's
-// slab, so callers may pass pointers into reusable pull batches.
+// Each event is buffered once, by value, in the slab of its pane: the
+// slide-wide tumbling bucket (Assigner.PaneOf) containing its assignment
+// time.  A window is the concatenation of its Size/Slide consecutive
+// panes, so firing copies no events: a FiredWindow lists its pane slabs.
+// A pane is shared by Size/Slide windows and released together with the
+// last of them (the one whose oldest pane it is).  Callers may pass
+// pointers into reusable pull batches.
+//
+// The modelled footprint is still that of the paper's operators, which
+// keep one copy per (event, window): StateBytes counts every event once
+// for each window it belongs to that has not fired.
 type BufferedWindows struct {
 	asg Assigner
-	// buf maps window end -> that window's event slab.
-	buf     flat.Table[[]tuple.Event]
-	bytes   int64
-	scratch []ID
-	// free holds recycled window slabs (see Recycle); new windows reuse
-	// them instead of growing fresh ones, so the steady state stops
-	// allocating once slabs have grown to a window's typical fill.
+	// panes maps pane end -> that pane's events.
+	panes flat.Table[pane]
+	bytes int64
+	// free holds recycled pane slabs (see Recycle); new panes reuse them
+	// instead of growing fresh ones, so the steady state stops allocating
+	// once slabs have grown to a pane's typical fill.
 	free [][]tuple.Event
 	// firedThrough is the firing cursor; late events' contributions to
 	// already-fired windows are lost (allowed lateness zero).
 	firedThrough time.Duration
 	lateDropped  int64
-	// fired is the per-fire scratch slab (valid until the next Fire);
+	// fired and firedPanes are the per-fire scratch slabs (valid until
+	// the next Fire); paneEnds and ends are windowEnds' scratch.
 	// aggScratch/aggOut are Aggregate's reused per-fire state.
 	fired      []FiredWindow
+	firedPanes [][]tuple.Event
+	paneEnds   []time.Duration
+	ends       []time.Duration
 	aggScratch flat.Table[Agg]
 	aggOut     []Result
+}
+
+// pane is one slide-wide bucket of buffered events and their total weight.
+type pane struct {
+	events []tuple.Event
+	weight int64
 }
 
 // LateDropped returns the number of (event, window) contributions lost to
@@ -59,11 +78,11 @@ func (bw *BufferedWindows) Reset(asg Assigner) {
 	bw.asg = asg
 	// Recycle the live slabs before dropping the table so the next run
 	// reuses them instead of growing fresh ones.
-	bw.buf.Range(func(_ flat.Key, events *[]tuple.Event) bool {
-		bw.Recycle(*events)
+	bw.panes.Range(func(_ flat.Key, p *pane) bool {
+		bw.recycle(p.events)
 		return true
 	})
-	bw.buf.Reset()
+	bw.panes.Reset()
 	bw.bytes = 0
 	bw.firedThrough = 0
 	bw.lateDropped = 0
@@ -80,26 +99,32 @@ func (bw *BufferedWindows) Add(e *tuple.Event) int64 {
 // the event's own time; see PaneAggregator.AddAt for when arrival-time
 // assignment is the right semantics.
 func (bw *BufferedWindows) AddAt(e *tuple.Event, at time.Duration) int64 {
-	bw.scratch = bw.scratch[:0]
-	bw.asg.AssignTo(at, &bw.scratch)
-	var grew int64
-	for _, w := range bw.scratch {
-		if w.End <= bw.firedThrough {
-			bw.lateDropped++
-			continue
+	end := bw.asg.PaneOf(at).End
+	// The event's windows end at end, end+Slide, ..., end+Size-Slide;
+	// those at or before the firing cursor have fired and lose it.
+	live := int64(bw.asg.WindowsPerEvent())
+	if bw.firedThrough >= end {
+		late := min(int64((bw.firedThrough-end)/bw.asg.Slide)+1, live)
+		bw.lateDropped += late
+		live -= late
+		if live == 0 {
+			return 0
 		}
-		s, fresh := bw.buf.Upsert(flat.K(int64(w.End)))
-		if fresh {
-			*s = bw.takeSlab()
-		}
-		*s = append(*s, *e)
-		grew += bytesPerBufferedEvent * e.Weight
 	}
+	p, fresh := bw.panes.Upsert(flat.K(int64(end)))
+	if fresh {
+		p.events = bw.takeSlab()
+	}
+	p.events = append(p.events, *e)
+	p.weight += e.Weight
+	grew := live * bytesPerBufferedEvent * e.Weight
 	bw.bytes += grew
 	return grew
 }
 
-// takeSlab pops a recycled slab, or returns nil (append grows fresh).
+// takeSlab pops a recycled slab.  With none left it sizes a fresh slab
+// like the fullest live pane, so a run's first panes do not each regrow
+// from empty (nil when no pane holds events yet: append grows fresh).
 func (bw *BufferedWindows) takeSlab() []tuple.Event {
 	if n := len(bw.free); n > 0 {
 		s := bw.free[n-1]
@@ -107,56 +132,108 @@ func (bw *BufferedWindows) takeSlab() []tuple.Event {
 		bw.free = bw.free[:n-1]
 		return s
 	}
-	return nil
-}
-
-// Recycle hands a fired window's slab back for reuse by future windows.
-// Callers must be done reading the events: the next window to buffer will
-// overwrite them.  Engines call this after evaluating a FiredWindow.
-func (bw *BufferedWindows) Recycle(events []tuple.Event) {
-	if cap(events) == 0 {
-		return
-	}
-	bw.free = append(bw.free, events[:0])
-}
-
-// FiredWindow is a complete window's raw content.  The Events slab is
-// owned by the receiver once Fire returns.
-type FiredWindow struct {
-	Window ID
-	Events []tuple.Event
-}
-
-// Fire removes and returns every window with End <= watermark, ascending.
-// The returned slice is a reused scratch slab, valid until the next Fire;
-// the Events slabs inside are owned by the caller until Recycled.
-func (bw *BufferedWindows) Fire(watermark time.Duration) []FiredWindow {
-	if watermark > bw.firedThrough {
-		bw.firedThrough = watermark
-	}
-	bw.fired = bw.fired[:0]
-	bw.buf.Range(func(k flat.Key, events *[]tuple.Event) bool {
-		if end := time.Duration(k.A); end <= watermark {
-			bw.fired = append(bw.fired, FiredWindow{Window: ID{End: end}, Events: *events})
-			for i := range *events {
-				bw.bytes -= bytesPerBufferedEvent * (*events)[i].Weight
-			}
-			bw.buf.Delete(k)
-		}
+	fullest := 0
+	bw.panes.Range(func(_ flat.Key, p *pane) bool {
+		fullest = max(fullest, len(p.events))
 		return true
 	})
-	if len(bw.fired) == 0 {
+	if fullest == 0 {
 		return nil
 	}
-	sort.Slice(bw.fired, func(i, j int) bool { return bw.fired[i].Window.End < bw.fired[j].Window.End })
+	return make([]tuple.Event, 0, fullest)
+}
+
+// Recycle hands the slab of a fired window's oldest pane, released when
+// the window fired, back for reuse by future panes.  Callers must be done
+// reading the window: the next pane to buffer will overwrite the slab.
+// Engines call this after evaluating a FiredWindow, in firing order.
+func (bw *BufferedWindows) Recycle(fw FiredWindow) {
+	if len(fw.Panes) > 0 {
+		bw.recycle(fw.Panes[0])
+	}
+}
+
+func (bw *BufferedWindows) recycle(events []tuple.Event) {
+	if cap(events) > 0 {
+		bw.free = append(bw.free, events[:0])
+	}
+}
+
+// FiredWindow is a complete window's raw content: its Size/Slide
+// consecutive pane slabs, oldest first, with nil for a pane that holds no
+// events, and the total event weight across them.  The slabs are shared
+// with the window's successors and must not be modified; Panes[0] was
+// released with the window and is owned by the receiver until Recycled.
+type FiredWindow struct {
+	Window ID
+	Panes  [][]tuple.Event
+	Weight int64
+}
+
+// Fire removes and returns every window with End <= watermark that holds
+// events, ascending.  The returned slice is a reused scratch slab, valid
+// until the next Fire; the pane slabs inside stay valid until Recycled.
+func (bw *BufferedWindows) Fire(watermark time.Duration) []FiredWindow {
+	if watermark <= bw.firedThrough {
+		return nil
+	}
+	ends := bw.windowEnds(bw.firedThrough, watermark)
+	bw.firedThrough = watermark
+	if len(ends) == 0 {
+		return nil
+	}
+	k := bw.asg.WindowsPerEvent()
+	bw.fired = bw.fired[:0]
+	bw.firedPanes = slices.Grow(bw.firedPanes[:0], len(ends)*k)[:len(ends)*k]
+	for i, end := range ends {
+		fw := FiredWindow{Window: ID{End: end}, Panes: bw.firedPanes[i*k : (i+1)*k : (i+1)*k]}
+		for j := range fw.Panes {
+			pk := flat.K(int64(end - time.Duration(k-1-j)*bw.asg.Slide))
+			p, ok := bw.panes.Get(pk)
+			fw.Panes[j] = p.events
+			fw.Weight += p.weight
+			if j == 0 && ok {
+				// The oldest pane's last window is this one.
+				bw.panes.Delete(pk)
+			}
+		}
+		bw.bytes -= bytesPerBufferedEvent * fw.Weight
+		bw.fired = append(bw.fired, fw)
+	}
 	return bw.fired
+}
+
+// windowEnds returns, ascending, the ends in (from, through] of the
+// windows holding at least one live pane: each pane feeds the window
+// ending at it and those of the next Size/Slide-1 slides.  The slice is
+// the reused ends scratch.
+func (bw *BufferedWindows) windowEnds(from, through time.Duration) []time.Duration {
+	bw.paneEnds = bw.paneEnds[:0]
+	bw.panes.Range(func(k flat.Key, _ *pane) bool {
+		bw.paneEnds = append(bw.paneEnds, time.Duration(k.A))
+		return true
+	})
+	slices.Sort(bw.paneEnds)
+	bw.ends = bw.ends[:0]
+	last := from
+	for _, p := range bw.paneEnds {
+		for end := p; end <= p+bw.asg.Size-bw.asg.Slide && end <= through; end += bw.asg.Slide {
+			if end > last {
+				bw.ends = append(bw.ends, end)
+				last = end
+			}
+		}
+	}
+	return bw.ends
 }
 
 // StateBytes returns the modelled resident bytes of buffered events.
 func (bw *BufferedWindows) StateBytes() int64 { return bw.bytes }
 
-// LiveWindows returns the number of buffered windows.
-func (bw *BufferedWindows) LiveWindows() int { return bw.buf.Len() }
+// LiveWindows returns the number of unfired windows holding events.
+func (bw *BufferedWindows) LiveWindows() int {
+	return len(bw.windowEnds(bw.firedThrough, math.MaxInt64))
+}
 
 // Aggregate computes per-key SUM aggregates over a fired window's raw
 // events — what a Storm bolt does at trigger time — reusing the
@@ -165,10 +242,12 @@ func (bw *BufferedWindows) LiveWindows() int { return bw.buf.Len() }
 // is valid until the next Aggregate call.
 func (bw *BufferedWindows) Aggregate(fw FiredWindow) []Result {
 	bw.aggScratch.Reset()
-	for i := range fw.Events {
-		e := &fw.Events[i]
-		g, _ := bw.aggScratch.Upsert(flat.K(e.Key()))
-		g.add(e)
+	for _, events := range fw.Panes {
+		for i := range events {
+			e := &events[i]
+			g, _ := bw.aggScratch.Upsert(flat.K(e.Key()))
+			g.add(e)
+		}
 	}
 	bw.aggOut = bw.aggOut[:0]
 	bw.aggScratch.Range(func(k flat.Key, g *Agg) bool {

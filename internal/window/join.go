@@ -1,7 +1,8 @@
 package window
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/flat"
@@ -29,127 +30,87 @@ type JoinResult struct {
 // Reusing one Joiner across window fires removes the per-fire index map
 // and per-key bucket slices the join used to allocate.
 type Joiner struct {
-	// head maps join key -> index of the first matching ad; next[i] is
-	// the next ad with the same key, or -1.  Chains are threaded in
-	// ascending ad order so probe output order matches the historical
-	// (slice-bucket) implementation exactly.
-	head flat.Table[int32]
-	next []int32
-	out  []JoinResult
+	// head maps join key -> global position of the first matching ad
+	// (positions count through the ad panes in order); next[i] is the
+	// next ad with the same key, or -1, and weight[i] is ad i's weight.
+	// Chains are threaded in ascending ad order so probe output order
+	// matches the historical (slice-bucket) implementation exactly.
+	head   flat.Table[int32]
+	next   []int32
+	weight []int64
+	out    []JoinResult
 }
 
 // HashJoin performs an in-memory hash equi-join over one fired window's
-// purchases and ads.  The build side indexes the ads by join key.  Cost is
+// purchases and ads, each given as the window's pane slabs (a flat slice
+// is a single pane).  The build side indexes the ads by join key.  Cost is
 // O(|P| + |A| + |results|), which is what Flink's and Spark's window joins
 // achieve; contrast NestedLoopJoinWindow below.  The returned slice is a
 // reused scratch slab, valid until the next HashJoin call.
-func (jn *Joiner) HashJoin(w ID, purchases, ads []tuple.Event) []JoinResult {
-	if len(purchases) == 0 || len(ads) == 0 {
+func (jn *Joiner) HashJoin(w ID, purchases, ads [][]tuple.Event) []JoinResult {
+	na := paneLen(ads)
+	if na == 0 || paneLen(purchases) == 0 {
 		return nil
 	}
-	// Definition 3 (join form): the tuples' event-time is set to the
-	// maximum event-time of their window, so compute each side's window
-	// maximum first (Figure 2's max_time).
-	var pProv, aProv tuple.Provenance
-	for i := range purchases {
-		pProv.Observe(&purchases[i])
-	}
-	for i := range ads {
-		aProv.Observe(&ads[i])
-	}
-	pairProv := pProv
-	pairProv.Merge(aProv)
+	pairProv := joinProv(purchases, ads)
 
 	// Build the ad index as chains of positions, so the build side
 	// allocates nothing per event.  Iterating ads backwards makes each
 	// chain run in ascending position order.
 	jn.head.Reset()
-	if cap(jn.next) < len(ads) {
-		jn.next = make([]int32, len(ads))
-	}
-	jn.next = jn.next[:len(ads)]
-	for i := len(ads) - 1; i >= 0; i-- {
-		h, fresh := jn.head.Upsert(flat.K(ads[i].JoinKey()))
-		if fresh {
-			jn.next[i] = -1
-		} else {
-			jn.next[i] = *h
+	jn.next = slices.Grow(jn.next[:0], na)[:na]
+	jn.weight = slices.Grow(jn.weight[:0], na)[:na]
+	pos := na
+	for pi := len(ads) - 1; pi >= 0; pi-- {
+		pane := ads[pi]
+		for j := len(pane) - 1; j >= 0; j-- {
+			pos--
+			h, fresh := jn.head.Upsert(flat.K(pane[j].JoinKey()))
+			if fresh {
+				jn.next[pos] = -1
+			} else {
+				jn.next[pos] = *h
+			}
+			*h = int32(pos)
+			jn.weight[pos] = pane[j].Weight
 		}
-		*h = int32(i)
 	}
 	jn.out = jn.out[:0]
-	for i := range purchases {
-		p := &purchases[i]
-		ai, ok := jn.head.Get(flat.K(p.JoinKey()))
-		if !ok {
-			continue
-		}
-		for ; ai >= 0; ai = jn.next[ai] {
-			// One simulated pair stands for min(weights) real pairs:
-			// the matched ad and purchase populations pair up 1:1.
-			w8 := p.Weight
-			if aw := ads[ai].Weight; aw < w8 {
-				w8 = aw
+	for _, pane := range purchases {
+		for i := range pane {
+			p := &pane[i]
+			ai, ok := jn.head.Get(flat.K(p.JoinKey()))
+			if !ok {
+				continue
 			}
-			jn.out = append(jn.out, JoinResult{
-				UserID:    p.UserID,
-				GemPackID: p.GemPackID,
-				Price:     p.Price,
-				Window:    w,
-				Weight:    w8,
-				Prov:      pairProv,
-			})
+			for ; ai >= 0; ai = jn.next[ai] {
+				jn.out = append(jn.out, joinPair(w, p, jn.weight[ai], pairProv))
+			}
 		}
 	}
 	sortJoinResults(jn.out)
 	return jn.out
 }
 
-// HashJoinWindow is the standalone form of Joiner.HashJoin for callers
-// without reusable state (tests, oracles); it allocates its own scratch
-// per call and the returned slice is owned by the caller.
-func HashJoinWindow(w ID, purchases, ads []tuple.Event) []JoinResult {
-	var jn Joiner
-	out := jn.HashJoin(w, purchases, ads)
-	if out == nil {
-		return nil
-	}
-	return append([]JoinResult(nil), out...)
-}
-
 // NestedLoopJoinWindow is the naive O(|P|·|A|) join "we implemented a
-// simple version of a windowed join in Storm" refers to.  Results are
-// identical to HashJoinWindow; only the cost model differs (the Storm
-// engine model charges quadratic CPU for it).  Comparisons is the number
-// of pair comparisons performed, for CPU accounting.
-func NestedLoopJoinWindow(w ID, purchases, ads []tuple.Event) (out []JoinResult, comparisons int64) {
-	var pProv, aProv tuple.Provenance
-	for i := range purchases {
-		pProv.Observe(&purchases[i])
-	}
-	for i := range ads {
-		aProv.Observe(&ads[i])
-	}
-	pairProv := pProv
-	pairProv.Merge(aProv)
-	for i := range purchases {
-		p := &purchases[i]
-		for j := range ads {
-			a := &ads[j]
-			comparisons++
-			if p.UserID == a.UserID && p.GemPackID == a.GemPackID {
-				w8 := p.Weight
-				if a.Weight < w8 {
-					w8 = a.Weight
+// simple version of a windowed join in Storm" refers to, over the window's
+// pane slabs.  Results are identical to HashJoin; only the cost model
+// differs (the Storm engine model charges quadratic CPU for it).
+// Comparisons is the number of pair comparisons performed, for CPU
+// accounting.
+func NestedLoopJoinWindow(w ID, purchases, ads [][]tuple.Event) (out []JoinResult, comparisons int64) {
+	pairProv := joinProv(purchases, ads)
+	for _, ppane := range purchases {
+		for i := range ppane {
+			p := &ppane[i]
+			for _, apane := range ads {
+				for j := range apane {
+					a := &apane[j]
+					comparisons++
+					if p.UserID == a.UserID && p.GemPackID == a.GemPackID {
+						out = append(out, joinPair(w, p, a.Weight, pairProv))
+					}
 				}
-				out = append(out, JoinResult{
-					UserID:    p.UserID,
-					GemPackID: p.GemPackID,
-					Price:     p.Price,
-					Window:    w,
-					Weight:    w8,
-					Prov:      pairProv,
-				})
 			}
 		}
 	}
@@ -157,15 +118,62 @@ func NestedLoopJoinWindow(w ID, purchases, ads []tuple.Event) (out []JoinResult,
 	return out, comparisons
 }
 
+// joinProv is the provenance every output of a window's join carries.
+// Definition 3 (join form): the tuples' event-time is set to the maximum
+// event-time of their window, so each side's window maximum is taken and
+// the two merged (Figure 2's max_time).
+func joinProv(purchases, ads [][]tuple.Event) tuple.Provenance {
+	var pProv, aProv tuple.Provenance
+	for _, pane := range purchases {
+		for i := range pane {
+			pProv.Observe(&pane[i])
+		}
+	}
+	for _, pane := range ads {
+		for i := range pane {
+			aProv.Observe(&pane[i])
+		}
+	}
+	pProv.Merge(aProv)
+	return pProv
+}
+
+// joinPair is the output row of purchase p matched with an ad of weight
+// adWeight.  One simulated pair stands for min(weights) real pairs: the
+// matched ad and purchase populations pair up 1:1.
+func joinPair(w ID, p *tuple.Event, adWeight int64, prov tuple.Provenance) JoinResult {
+	return JoinResult{
+		UserID:    p.UserID,
+		GemPackID: p.GemPackID,
+		Price:     p.Price,
+		Window:    w,
+		Weight:    min(p.Weight, adWeight),
+		Prov:      prov,
+	}
+}
+
+// paneLen returns the total number of events across panes.
+func paneLen(panes [][]tuple.Event) int {
+	n := 0
+	for _, pane := range panes {
+		n += len(pane)
+	}
+	return n
+}
+
+// sortJoinResults orders a window's join output by (user, gem pack,
+// price).  slices.SortFunc runs the same pattern-defeating quicksort as
+// sort.Slice, so ties land where they always did, without sort.Slice's
+// per-call allocations.
 func sortJoinResults(out []JoinResult) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].UserID != out[j].UserID {
-			return out[i].UserID < out[j].UserID
+	slices.SortFunc(out, func(a, b JoinResult) int {
+		if c := cmp.Compare(a.UserID, b.UserID); c != 0 {
+			return c
 		}
-		if out[i].GemPackID != out[j].GemPackID {
-			return out[i].GemPackID < out[j].GemPackID
+		if c := cmp.Compare(a.GemPackID, b.GemPackID); c != 0 {
+			return c
 		}
-		return out[i].Price < out[j].Price
+		return cmp.Compare(a.Price, b.Price)
 	})
 }
 
@@ -177,10 +185,8 @@ type TwoStreamBuffer struct {
 	Ads       *BufferedWindows
 
 	joiner Joiner
-	// Fire's reused scratch: the assembled windows and an end -> index
-	// table into them.
+	// firedJoin is Fire's reused scratch of assembled windows.
 	firedJoin []FiredJoinWindow
-	byEnd     flat.Table[int32]
 }
 
 // NewTwoStreamBuffer builds buffered state for both streams over the same
@@ -198,7 +204,6 @@ func (tb *TwoStreamBuffer) Reset(asg Assigner) {
 	tb.Purchases.Reset(asg)
 	tb.Ads.Reset(asg)
 	tb.joiner.head.Reset()
-	tb.byEnd.Reset()
 }
 
 // Add routes the event to its stream's buffer and returns state growth in
@@ -251,16 +256,18 @@ func (tb *TwoStreamBuffer) AddBatchAt(b *tuple.Batch, at time.Duration) int64 {
 	return grew
 }
 
-// FiredJoinWindow pairs both sides of one fired window.
+// FiredJoinWindow pairs both sides of one fired window, each as its pane
+// slabs (see FiredWindow), with their total event weight.
 type FiredJoinWindow struct {
 	Window    ID
-	Purchases []tuple.Event
-	Ads       []tuple.Event
+	Purchases [][]tuple.Event
+	Ads       [][]tuple.Event
+	Weight    int64
 }
 
 // Fire returns both sides of every window with End <= watermark,
-// ascending.  The returned slice is a reused scratch slab, valid until
-// the next Fire.
+// ascending, merging the two sides' ascending fired lists.  The returned
+// slice is a reused scratch slab, valid until the next Fire.
 func (tb *TwoStreamBuffer) Fire(watermark time.Duration) []FiredJoinWindow {
 	p := tb.Purchases.Fire(watermark)
 	a := tb.Ads.Fire(watermark)
@@ -268,19 +275,20 @@ func (tb *TwoStreamBuffer) Fire(watermark time.Duration) []FiredJoinWindow {
 		return nil
 	}
 	tb.firedJoin = tb.firedJoin[:0]
-	tb.byEnd.Reset()
-	for _, fw := range p {
-		tb.firedJoin = append(tb.firedJoin, FiredJoinWindow{Window: fw.Window, Purchases: fw.Events})
-		tb.byEnd.Put(flat.K(int64(fw.Window.End)), int32(len(tb.firedJoin)-1))
-	}
-	for _, fw := range a {
-		if i, ok := tb.byEnd.Get(flat.K(int64(fw.Window.End))); ok {
-			tb.firedJoin[i].Ads = fw.Events
-		} else {
-			tb.firedJoin = append(tb.firedJoin, FiredJoinWindow{Window: fw.Window, Ads: fw.Events})
+	for len(p) > 0 || len(a) > 0 {
+		switch {
+		case len(a) == 0 || len(p) > 0 && p[0].Window.End < a[0].Window.End:
+			tb.firedJoin = append(tb.firedJoin, FiredJoinWindow{Window: p[0].Window, Purchases: p[0].Panes, Weight: p[0].Weight})
+			p = p[1:]
+		case len(p) == 0 || a[0].Window.End < p[0].Window.End:
+			tb.firedJoin = append(tb.firedJoin, FiredJoinWindow{Window: a[0].Window, Ads: a[0].Panes, Weight: a[0].Weight})
+			a = a[1:]
+		default:
+			tb.firedJoin = append(tb.firedJoin, FiredJoinWindow{Window: p[0].Window,
+				Purchases: p[0].Panes, Ads: a[0].Panes, Weight: p[0].Weight + a[0].Weight})
+			p, a = p[1:], a[1:]
 		}
 	}
-	sort.Slice(tb.firedJoin, func(i, j int) bool { return tb.firedJoin[i].Window.End < tb.firedJoin[j].Window.End })
 	return tb.firedJoin
 }
 
@@ -295,9 +303,9 @@ func (tb *TwoStreamBuffer) StateBytes() int64 {
 	return tb.Purchases.StateBytes() + tb.Ads.StateBytes()
 }
 
-// Recycle hands a fired join window's slabs back to their side's free
-// lists.  Callers must be done reading both sides.
+// Recycle hands the slabs of a fired join window's oldest panes back to
+// their side's free lists.  Callers must be done reading both sides.
 func (tb *TwoStreamBuffer) Recycle(fw FiredJoinWindow) {
-	tb.Purchases.Recycle(fw.Purchases)
-	tb.Ads.Recycle(fw.Ads)
+	tb.Purchases.Recycle(FiredWindow{Panes: fw.Purchases})
+	tb.Ads.Recycle(FiredWindow{Panes: fw.Ads})
 }

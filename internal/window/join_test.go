@@ -1,6 +1,7 @@
 package window
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tuple"
 )
+
+// joinFlat hash-joins flat purchase and ad slices, each as a single pane,
+// and returns a result slice the caller owns.
+func joinFlat(w ID, purchases, ads []tuple.Event) []JoinResult {
+	var jn Joiner
+	return slices.Clone(jn.HashJoin(w, [][]tuple.Event{purchases}, [][]tuple.Event{ads}))
+}
 
 func TestHashJoinPaperFigure2(t *testing.T) {
 	// Figure 2: ads window has max_time=500, purchases window has
@@ -22,7 +30,7 @@ func TestHashJoinPaperFigure2(t *testing.T) {
 		*ev(tuple.Purchases, 1, 2, 20, 550*time.Second),
 		*ev(tuple.Purchases, 1, 2, 30, 600*time.Second),
 	}
-	out := HashJoinWindow(w, purchases, ads)
+	out := joinFlat(w, purchases, ads)
 	if len(out) != 3 {
 		t.Fatalf("expected 3 join results, got %d", len(out))
 	}
@@ -44,17 +52,18 @@ func TestHashJoinNoMatch(t *testing.T) {
 	w := ID{End: 10 * time.Second}
 	p := []tuple.Event{*ev(tuple.Purchases, 1, 2, 10, time.Second)}
 	a := []tuple.Event{*ev(tuple.Ads, 3, 4, 0, time.Second)}
-	if out := HashJoinWindow(w, p, a); out != nil {
+	if out := joinFlat(w, p, a); out != nil {
 		t.Fatalf("disjoint keys must not join: %+v", out)
 	}
-	if out := HashJoinWindow(w, nil, a); out != nil {
+	if out := joinFlat(w, nil, a); out != nil {
 		t.Fatal("empty side must produce no results")
 	}
 }
 
 func TestNestedLoopMatchesHashJoinProperty(t *testing.T) {
 	// Storm's naive join must produce identical results to the hash
-	// join; only its cost differs.
+	// join; only its cost differs.  Both read the window as pane slabs:
+	// any split of the sides into panes joins like the flat slices.
 	f := func(seed uint16, np, na uint8) bool {
 		r := sim.NewRNG(uint64(seed), "join")
 		w := ID{End: 10 * time.Second}
@@ -63,22 +72,27 @@ func TestNestedLoopMatchesHashJoinProperty(t *testing.T) {
 			purchases = append(purchases, *ev(tuple.Purchases,
 				int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(50)),
 				time.Duration(r.Intn(9000))*time.Millisecond))
+			purchases[i].Weight = int64(r.Intn(3)) + 1
 		}
 		for i := 0; i < int(na%20)+1; i++ {
 			ads = append(ads, *ev(tuple.Ads,
 				int64(r.Intn(5)), int64(r.Intn(5)), 0,
 				time.Duration(r.Intn(9000))*time.Millisecond))
+			ads[i].Weight = int64(r.Intn(3)) + 1
 		}
-		hj := HashJoinWindow(w, purchases, ads)
-		nl, comparisons := NestedLoopJoinWindow(w, purchases, ads)
+		pPanes, aPanes := splitPanes(r, purchases), splitPanes(r, ads)
+		hj := joinFlat(w, purchases, ads)
+		var jn Joiner
+		hjPanes := jn.HashJoin(w, pPanes, aPanes)
+		nl, comparisons := NestedLoopJoinWindow(w, pPanes, aPanes)
 		if comparisons != int64(len(purchases))*int64(len(ads)) {
 			return false
 		}
-		if len(hj) != len(nl) {
+		if len(hj) != len(nl) || len(hj) != len(hjPanes) {
 			return false
 		}
 		for i := range hj {
-			if hj[i] != nl[i] {
+			if hj[i] != nl[i] || hj[i] != hjPanes[i] {
 				return false
 			}
 		}
@@ -89,13 +103,25 @@ func TestNestedLoopMatchesHashJoinProperty(t *testing.T) {
 	}
 }
 
+// splitPanes cuts events into 1-4 consecutive panes, some possibly empty.
+func splitPanes(r *sim.RNG, events []tuple.Event) [][]tuple.Event {
+	panes := make([][]tuple.Event, r.Intn(4)+1)
+	rest := events
+	for i := range panes[:len(panes)-1] {
+		n := r.Intn(len(rest) + 1)
+		panes[i], rest = rest[:n], rest[n:]
+	}
+	panes[len(panes)-1] = rest
+	return panes
+}
+
 func TestJoinWeightIsMinOfPair(t *testing.T) {
 	w := ID{End: 10 * time.Second}
 	p := ev(tuple.Purchases, 1, 2, 10, time.Second)
 	p.Weight = 100
 	a := ev(tuple.Ads, 1, 2, 0, time.Second)
 	a.Weight = 40
-	out := HashJoinWindow(w, []tuple.Event{*p}, []tuple.Event{*a})
+	out := joinFlat(w, []tuple.Event{*p}, []tuple.Event{*a})
 	if len(out) != 1 || out[0].Weight != 40 {
 		t.Fatalf("pair weight should be min(100,40)=40: %+v", out)
 	}
@@ -121,10 +147,10 @@ func TestTwoStreamBufferRoutesAndFires(t *testing.T) {
 		t.Fatalf("fired window ends wrong: %v, %v", fired[0].Window, fired[1].Window)
 	}
 	jw := fired[1]
-	if len(jw.Purchases) != 1 || len(jw.Ads) != 2 {
-		t.Fatalf("window content wrong: %d purchases, %d ads", len(jw.Purchases), len(jw.Ads))
+	if paneLen(jw.Purchases) != 1 || paneLen(jw.Ads) != 2 {
+		t.Fatalf("window content wrong: %d purchases, %d ads", paneLen(jw.Purchases), paneLen(jw.Ads))
 	}
-	out := HashJoinWindow(jw.Window, jw.Purchases, jw.Ads)
+	out := tb.HashJoin(jw)
 	if len(out) != 1 {
 		t.Fatalf("expected exactly one matching pair, got %d", len(out))
 	}
@@ -157,7 +183,7 @@ func TestBufferedWindowsFireOrderAndAggregate(t *testing.T) {
 			w4 = &fired[i]
 		}
 	}
-	if w4 == nil || len(w4.Events) != 3 {
+	if w4 == nil || paneLen(w4.Panes) != 3 {
 		t.Fatalf("window ending at 4s should hold 3 events: %+v", fired)
 	}
 	res := AggregateFired(*w4)
@@ -200,8 +226,8 @@ func TestBufferedWindowsRecycleNoAliasing(t *testing.T) {
 		t.Fatalf("one window should fire: %d", len(fired))
 	}
 	res := AggregateFired(fired[0])
-	slab := fired[0].Events
-	bw.Recycle(slab)
+	slab := fired[0].Panes[0]
+	bw.Recycle(fired[0])
 
 	// The next window reuses the slab and overwrites its contents.
 	bw.Add(ev(tuple.Purchases, 9, 9, 999, 5*time.Second))
@@ -210,7 +236,7 @@ func TestBufferedWindowsRecycleNoAliasing(t *testing.T) {
 	if len(fired2) != 1 {
 		t.Fatalf("second window should fire: %d", len(fired2))
 	}
-	if &fired2[0].Events[0] != &slab[:1][0] {
+	if &fired2[0].Panes[0][0] != &slab[:1][0] {
 		t.Fatal("recycled slab was not reused")
 	}
 	// Results computed before the recycle are value copies: untouched.
@@ -220,5 +246,47 @@ func TestBufferedWindowsRecycleNoAliasing(t *testing.T) {
 	res2 := AggregateFired(fired2[0])
 	if len(res2) != 1 || res2[0].Agg.Sum != 1998 || res2[0].Key != 9 {
 		t.Fatalf("post-recycle aggregate wrong: %+v", res2)
+	}
+}
+
+// BenchmarkWindowJoinFire measures one slide of the buffered join
+// lifecycle on (8s, 4s) windows: a slide's worth of Adds to both streams,
+// Fire, HashJoin over the window's shared panes, and Recycle — the
+// per-fire shape of the Flink, Spark and ideal join models.  Pinned at
+// 0 allocs/op by scripts/bench-smoke.sh: once the pane slabs and join
+// scratch have grown, a fire must not allocate.
+func BenchmarkWindowJoinFire(b *testing.B) {
+	asg, err := NewAssigner(8*time.Second, 4*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb := NewTwoStreamBuffer(asg)
+	const perSlide = 4000 // one event per millisecond
+	var e tuple.Event
+	var pairs int64
+	i := 0
+	slide := func() {
+		for end := i + perSlide; i < end; i++ {
+			e = tuple.Event{Stream: tuple.StreamID(i % 2), UserID: int64(i/2) % 1000, GemPackID: 1,
+				Price: 7, EventTime: time.Duration(i) * time.Millisecond, Weight: 20}
+			tb.Add(&e)
+		}
+		for _, fw := range tb.Fire(e.EventTime) {
+			pairs += int64(len(tb.HashJoin(fw)))
+			tb.Recycle(fw)
+		}
+	}
+	// Warm through several fires so slab and scratch growth is amortised
+	// out of the timed loop, which continues the same stream.
+	for w := 0; w < 5; w++ {
+		slide()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		slide()
+	}
+	if pairs == 0 {
+		b.Fatal("no pairs joined")
 	}
 }

@@ -5,8 +5,9 @@
 # -benchmem and fails if any of them reports a non-zero allocs/op.  These
 # benchmarks are the steady-state contracts of DESIGN-PERF.md: the queue
 # ring, the generator tick, the window aggregation slab recycling, the
-# kernel's value-based scheduler (§7), the flat keyed-state tables and
-# the keyed window fire path (§8) must never allocate per event.
+# kernel's value-based scheduler (§7), the flat keyed-state tables,
+# the keyed window fire path (§8) and the buffered join fire path (§2)
+# must never allocate per event.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -14,7 +15,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 if ! go test -run=NONE \
-	-bench='BenchmarkQueuePushPop|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend' \
+	-bench='BenchmarkQueuePushPop|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkWindowJoinFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend' \
 	-benchtime=1x -benchmem \
 	./internal/queue/ ./internal/generator/ ./internal/window/ ./internal/sim/ ./internal/flat/ ./internal/tuple/ >"$out" 2>&1; then
 	cat "$out"
