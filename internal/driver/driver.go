@@ -221,6 +221,13 @@ func (r *Result) OfferedRate() float64 {
 	return float64(r.Generated) / r.Config.RunFor.Seconds()
 }
 
+// runEndHook, when non-nil, is called once per run after the simulation
+// has stopped, with the run's generator, its generator-side queues, the
+// broker (nil without one) and the queues the SUT drains (the generator
+// queues themselves without a broker).  Only tests set it, to check
+// weight conservation; it never touches a Result.
+var runEndHook func(gen *generator.Generator, queues *queue.Group, brk *broker.Broker, sources *queue.Group)
+
 // Run executes one benchmark run of the query on the engine.
 func Run(eng engine.Engine, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), eng, cfg)
@@ -422,6 +429,9 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		brk.Stop()
 	}
 	gen.Stop()
+	if runEndHook != nil {
+		runEndHook(gen, queues, brk, sources)
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err

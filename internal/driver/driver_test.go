@@ -5,10 +5,13 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/engine"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/ideal"
 	"repro/internal/engine/spark"
 	"repro/internal/engine/storm"
 	"repro/internal/generator"
+	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
@@ -266,5 +269,82 @@ func TestRunDisorderAndSlack(t *testing.T) {
 	}
 	if res2.LateDropped >= res.LateDropped {
 		t.Fatalf("slack should reduce late drops: %d vs %d", res2.LateDropped, res.LateDropped)
+	}
+}
+
+// checkQueueConservation requires that a queue group accounts for every
+// unit of weight offered to it: offered = TotalIn + Refused for the group,
+// and TotalIn = TotalOut + Weight for every member.
+func checkQueueConservation(t *testing.T, name string, g *queue.Group, offered int64) {
+	t.Helper()
+	if got := g.TotalIn() + g.Refused(); got != offered {
+		t.Errorf("%s: TotalIn %d + Refused %d = %d, offered %d", name, g.TotalIn(), g.Refused(), got, offered)
+	}
+	for _, q := range g.Queues() {
+		if q.TotalIn() != q.TotalOut()+q.Weight() {
+			t.Errorf("%s: %s TotalIn %d != TotalOut %d + Weight %d", name, q.Name(), q.TotalIn(), q.TotalOut(), q.Weight())
+		}
+	}
+}
+
+// TestRunConservesQueueWeight checks weight conservation at the end of
+// driver runs on every engine, for aggregation and join, at a steady rate
+// and at a rate that overflows the driver queues, plus one run through a
+// broker: the generated weight is what the generator queues admitted plus
+// what they refused, and each queue's admitted weight is what left it plus
+// what it still holds.  With a broker the same holds for the SUT-side
+// queues against what the broker delivered.
+func TestRunConservesQueueWeight(t *testing.T) {
+	type run struct {
+		name     string
+		eng      engine.Engine
+		cfg      Config
+		overflow bool
+	}
+	var runs []run
+	for _, eng := range []engine.Engine{
+		storm.New(storm.Options{}), spark.New(spark.Options{}), flink.New(flink.Options{}), ideal.New(),
+	} {
+		for _, qt := range []workload.Type{workload.Aggregation, workload.Join} {
+			steady := quickConfig(0.2e6)
+			steady.Query = workload.Default(qt)
+			steady.RunFor = 20 * time.Second
+			over := steady
+			over.Rate = generator.ConstantRate(3e6)
+			over.QueueCapPerInstance = 100_000
+			runs = append(runs,
+				run{eng.Name() + "/" + qt.String() + "/steady", eng, steady, false},
+				run{eng.Name() + "/" + qt.String() + "/overflow", eng, over, true})
+		}
+	}
+	bcfg := broker.DefaultConfig()
+	brokered := quickConfig(0.5e6)
+	brokered.Broker = &bcfg
+	brokered.RunFor = 20 * time.Second
+	runs = append(runs, run{"flink/broker", flink.New(flink.Options{}), brokered, false})
+
+	defer func() { runEndHook = nil }()
+	for _, r := range runs {
+		checked := false
+		runEndHook = func(gen *generator.Generator, queues *queue.Group, brk *broker.Broker, sources *queue.Group) {
+			checked = true
+			checkQueueConservation(t, r.name+" generator queues", queues, gen.TotalWeight())
+			if r.overflow != queues.Overflowed() {
+				t.Errorf("%s: overflowed %v, want %v", r.name, queues.Overflowed(), r.overflow)
+			}
+			if brk != nil {
+				checkQueueConservation(t, r.name+" broker output", sources, brk.Published()-brk.Backlog())
+			}
+		}
+		res, err := Run(r.eng, r.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !checked {
+			t.Fatalf("%s: end-of-run hook not called", r.name)
+		}
+		if res.Generated == 0 {
+			t.Fatalf("%s: nothing generated", r.name)
+		}
 	}
 }

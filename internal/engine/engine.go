@@ -105,7 +105,7 @@ func (c Config) Pool() *window.Pool {
 
 // ScratchQueue returns an empty unbounded queue for engine-internal
 // buffering (e.g. Storm's spout in-flight buffer), recycled from the
-// arena when one is attached so its grown ring survives across runs.
+// arena when one is attached so its grown log survives across runs.
 func (c Config) ScratchQueue(name string) *queue.Queue {
 	if c.Mem == nil {
 		return queue.New(name, 0)

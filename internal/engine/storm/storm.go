@@ -151,8 +151,9 @@ type job struct {
 	capComp float64
 
 	// inflight is the spout-to-bolt buffer: pulled-but-unprocessed tuples
-	// in arrival order.  It reuses the driver-side ring queue (unbounded),
-	// whose weight accounting is what the bang-bang throttle switches on.
+	// in arrival order.  It reuses the driver-side queue (unbounded, a
+	// one-member group), whose weight accounting is what the bang-bang
+	// throttle switches on.
 	inflight *queue.Queue
 	// processedWM is the event-time frontier of *processed* tuples; the
 	// trigger fires on it, not on the ingested watermark.

@@ -25,7 +25,6 @@ package fault
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 )
@@ -513,7 +512,7 @@ func (s *Schedule) Factor(now time.Duration, workers int) float64 {
 		return sum / float64(workers)
 	}
 	f := 1.0
-	var downMask uint64
+	down := 0
 	for i := range s.Events {
 		e := &s.Events[i]
 		if !e.active(now) {
@@ -521,19 +520,31 @@ func (s *Schedule) Factor(now time.Duration, workers int) float64 {
 		}
 		switch e.Kind {
 		case KindKillWorker:
-			downMask |= 1 << (uint(e.Worker) & 63)
+			if !s.killedBefore(i, now) {
+				down++
+			}
 		case KindStall:
 			f *= e.Factor
 		}
 	}
-	if downMask != 0 && workers > 0 {
-		down := bits.OnesCount64(downMask)
-		if down > workers {
-			down = workers
-		}
+	if down > 0 && workers > 0 {
+		down = min(down, workers)
 		f *= float64(workers-down) / float64(workers)
 	}
 	return f
+}
+
+// killedBefore reports whether an event before index i kills the same
+// worker as event i and is active at now, so Factor counts each down
+// worker once whatever its index.
+func (s *Schedule) killedBefore(i int, now time.Duration) bool {
+	for j := range s.Events[:i] {
+		e := &s.Events[j]
+		if e.Kind == KindKillWorker && e.Worker == s.Events[i].Worker && e.active(now) {
+			return true
+		}
+	}
+	return false
 }
 
 // Scale applies the capacity factor at now to a tuple budget, flooring the

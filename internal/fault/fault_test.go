@@ -52,6 +52,37 @@ func TestKillWorkerWindow(t *testing.T) {
 	}
 }
 
+// TestKillCountsWorkersAbove64 pins that Factor counts distinct killed
+// workers exactly on clusters wider than 64: workers 0 and 64 are two
+// workers, and a second kill of worker 64 in an overlapping window is
+// still one.  The result must agree with the mean of the per-worker
+// vector.
+func TestKillCountsWorkersAbove64(t *testing.T) {
+	s := &Schedule{Events: []Event{
+		{Kind: KindKillWorker, Worker: 0, At: time.Second},
+		{Kind: KindKillWorker, Worker: 64, At: time.Second},
+		{Kind: KindKillWorker, Worker: 64, At: 2 * time.Second, RestartAfter: time.Second},
+	}}
+	if err := s.Validate(128); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	for _, now := range []time.Duration{time.Second, 2 * time.Second, 5 * time.Second} {
+		if got := s.Factor(now, 128); got != 126.0/128 {
+			t.Errorf("Factor(%v, 128) = %v, want 126/128", now, got)
+		}
+		mean := 0.0
+		for _, f := range s.Factors(now, 128, Recovery{}, nil) {
+			mean += f
+		}
+		if got := s.Factor(now, 128); got != mean/128 {
+			t.Errorf("Factor(%v, 128) = %v, per-worker mean %v", now, got, mean/128)
+		}
+	}
+	if got := s.Scale(128, 3*time.Second, 128); got != 126 {
+		t.Fatalf("Scale with workers 0 and 64 down = %d, want 126", got)
+	}
+}
+
 func TestKillWithoutRestartLastsForever(t *testing.T) {
 	s := &Schedule{Events: []Event{{Kind: KindKillWorker, Worker: 0, At: time.Second}}}
 	if got := s.Factor(time.Hour, 2); got != 0.5 {

@@ -10,121 +10,243 @@
 // long — Storm dropping connections under overload — is detected here and
 // treated as a failure, exactly as the paper prescribes.
 //
-// Events are stored by value in a power-of-two ring, columnar like the
-// batches that feed it (one parallel ring per Event field), so the steady
-// state allocates nothing and bulk transfers move column segments instead
-// of striding 56-byte records: pushes copy into the rings, pops copy out,
-// and the rings only grow (never shrink) until they fit the deployment's
-// peak backlog.  See DESIGN-PERF.md §9 for the columnar memory model.
+// Each Group owns one event store, the log: a columnar power-of-two ring
+// (one slice per Event field, like the batches that feed it) holding
+// events by value in arrival order.  A member Queue is a FIFO of log
+// positions plus its capacity accounting; a standalone queue (New) is a
+// one-member group.  Scatter copies a generator tick into the log as at
+// most two segments per column and hands each member its strided
+// positions; Group.PopBatch collects the round-robin drain order as
+// positions and gathers once, as two segments per column when the order
+// is a contiguous log range (the steady state when the engine drains every
+// tick).  Log rows are released lazily, up to the oldest position a member
+// still holds; dead rows that a lagging member pins are squeezed out
+// before the log grows, and it never shrinks, so the steady state
+// allocates nothing.  See DESIGN-PERF.md §3 and §9.
 package queue
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/tuple"
 )
 
-// minRingSize is the initial ring allocation; must be a power of two.
+// minRingSize is the initial log allocation; must be a power of two.
 const minRingSize = 64
 
+// heldPerQueue is the position capacity each member starts with, carved
+// from one array per group; a member whose backlog outgrows it moves to
+// an array of its own.
+const heldPerQueue = 4
+
+// eventLog is a group's event store.  Positions are free-running: the row
+// at position p lives at index p & mask of every column.  Members may hold
+// positions in [head, tail); the rows in that span no member holds
+// (popped, or refused for capacity) are dead until reserve moves head.
+type eventLog struct {
+	cols       tuple.Cols
+	head, tail uint64
+}
+
+func (l *eventLog) mask() uint64 { return uint64(len(l.cols.Weight) - 1) }
+
+// resize moves the rows in [head, tail) into fresh columns of the given
+// power-of-two size, each row keeping its position.
+func (l *eventLog) resize(size int) {
+	c := tuple.NewBatch(size).Extend(size)
+	moveCol(c.Stream, l.cols.Stream, l.head, l.tail)
+	moveCol(c.UserID, l.cols.UserID, l.head, l.tail)
+	moveCol(c.GemPackID, l.cols.GemPackID, l.head, l.tail)
+	moveCol(c.Price, l.cols.Price, l.head, l.tail)
+	moveCol(c.EventTime, l.cols.EventTime, l.head, l.tail)
+	moveCol(c.IngestTime, l.cols.IngestTime, l.head, l.tail)
+	moveCol(c.Weight, l.cols.Weight, l.head, l.tail)
+	l.cols = c
+}
+
+// moveCol copies the rows at positions [head, tail) of one column ring
+// into a larger one.  Both sizes are powers of two, so a segment that does
+// not wrap in src does not wrap in dst either.
+func moveCol[T any](dst, src []T, head, tail uint64) {
+	sm, dm := uint64(len(src)-1), uint64(len(dst)-1)
+	for p := head; p < tail; {
+		i, j := p&sm, p&dm
+		n := min(tail-p, uint64(len(src))-i)
+		copy(dst[j:j+n], src[i:i+n])
+		p += n
+	}
+}
+
+// copyIn writes src into the ring from index i, wrapping once.
+func copyIn[T any](ring []T, i int, src []T) {
+	c := copy(ring[i:], src)
+	copy(ring, src[c:])
+}
+
+// fetchCol fills dst with the ring entries at pos: as at most two copies
+// when run (pos is a run of consecutive positions), one by one otherwise.
+func fetchCol[T any](dst, ring []T, pos []uint64, mask uint64, run bool) {
+	if run {
+		c := copy(dst, ring[pos[0]&mask:])
+		copy(dst[c:], ring)
+		return
+	}
+	dst = dst[:len(pos)]
+	for i, p := range pos {
+		dst[i] = ring[p&mask]
+	}
+}
+
+// appendCols copies every row of c to the log's tail and returns the first
+// row's position.  The caller has reserved room.
+func (l *eventLog) appendCols(c tuple.Cols) uint64 {
+	p, i := l.tail, int(l.tail&l.mask())
+	copyIn(l.cols.Stream, i, c.Stream)
+	copyIn(l.cols.UserID, i, c.UserID)
+	copyIn(l.cols.GemPackID, i, c.GemPackID)
+	copyIn(l.cols.Price, i, c.Price)
+	copyIn(l.cols.EventTime, i, c.EventTime)
+	copyIn(l.cols.IngestTime, i, c.IngestTime)
+	copyIn(l.cols.Weight, i, c.Weight)
+	l.tail += uint64(len(c.Weight))
+	return p
+}
+
+// set writes e as the row at position p.
+func (l *eventLog) set(p uint64, e tuple.Event) {
+	c, i := &l.cols, p&l.mask()
+	c.Stream[i], c.UserID[i], c.GemPackID[i], c.Price[i] = e.Stream, e.UserID, e.GemPackID, e.Price
+	c.EventTime[i], c.IngestTime[i], c.Weight[i] = e.EventTime, e.IngestTime, e.Weight
+}
+
+// row materializes the event at position p.
+func (l *eventLog) row(p uint64) tuple.Event {
+	c, i := &l.cols, p&l.mask()
+	return tuple.Event{
+		Stream: c.Stream[i], UserID: c.UserID[i], GemPackID: c.GemPackID[i], Price: c.Price[i],
+		EventTime: c.EventTime[i], IngestTime: c.IngestTime[i], Weight: c.Weight[i],
+	}
+}
+
+// gather copies the rows at pos, in order, into c (len(c) == len(pos)).
+func (l *eventLog) gather(c tuple.Cols, pos []uint64) {
+	if len(pos) == 0 {
+		return
+	}
+	m, run := l.mask(), contiguous(pos)
+	fetchCol(c.Stream, l.cols.Stream, pos, m, run)
+	fetchCol(c.UserID, l.cols.UserID, pos, m, run)
+	fetchCol(c.GemPackID, l.cols.GemPackID, pos, m, run)
+	fetchCol(c.Price, l.cols.Price, pos, m, run)
+	fetchCol(c.EventTime, l.cols.EventTime, pos, m, run)
+	fetchCol(c.IngestTime, l.cols.IngestTime, pos, m, run)
+	fetchCol(c.Weight, l.cols.Weight, pos, m, run)
+}
+
+// contiguous reports whether pos is a run of consecutive positions.
+func contiguous(pos []uint64) bool {
+	for i, p := range pos {
+		if p != pos[0]+uint64(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // Queue is a FIFO buffer of events with weight-based capacity accounting.
+// Its events live in its group's log; the queue holds their positions.
 // It is not safe for concurrent use; each simulation run is
 // single-goroutine (runs themselves may execute in parallel, each with its
 // own queues).
 type Queue struct {
-	name string
+	// The fields Scatter and PopBatch touch come first, to share a cache
+	// line.  pos[ph:] are the positions of the buffered events, in FIFO
+	// and ascending order; pos[:ph] were popped.
+	pos      []uint64
+	ph       int
+	weight   int64
+	totalIn  int64 // cumulative real-event weight pushed
+	totalOut int64 // cumulative real-event weight popped
 	// capWeight is the maximum buffered real-event weight; 0 means
 	// unbounded.  The paper's queues are memory-bounded on the driver
 	// machines; exceeding the bound means the generator can no longer
 	// buffer and the experiment is halted.
 	capWeight int64
 
-	// The ring is columnar: seven parallel power-of-two slices of equal
-	// length; head and tail are free-running counters masked by
-	// len(ring)-1.  tail-head is the live count.
-	stream     []tuple.StreamID
-	userID     []int64
-	gemPackID  []int64
-	price      []int64
-	eventTime  []time.Duration
-	ingestTime []time.Duration
-	wcol       []int64
-	head       uint64
-	tail       uint64
-
-	weight   int64
-	totalIn  int64 // cumulative real-event weight pushed
-	totalOut int64 // cumulative real-event weight popped
+	g        *Group // owns the log
+	name     string
+	refused  int64 // cumulative real-event weight refused for capacity
 	overflow bool
 }
 
-// New creates a queue.  capWeight is the maximum real-event weight buffered
-// (0 = unbounded).
+// New creates a standalone queue (a one-member group).  capWeight is the
+// maximum real-event weight buffered (0 = unbounded).
 func New(name string, capWeight int64) *Queue {
-	return &Queue{name: name, capWeight: capWeight}
+	q := newGroup(1, capWeight).queues[0]
+	q.name = name
+	return q
 }
 
 // Name returns the queue's name.
 func (q *Queue) Name() string { return q.name }
 
 // Reset empties the queue and clears all accounting (weight, totals,
-// overflow), keeping the grown rings so a reused run performs no ring
-// growth (see driver.Probe).
+// overflow), keeping grown storage so a reused run performs no growth
+// (see driver.Probe).
 func (q *Queue) Reset() {
-	q.head, q.tail = 0, 0
-	q.weight, q.totalIn, q.totalOut = 0, 0, 0
+	q.pos, q.ph = q.pos[:0], 0
+	q.weight, q.totalIn, q.totalOut, q.refused = 0, 0, 0, 0
 	q.overflow = false
 }
 
-// ringSize returns the current ring capacity.
-func (q *Queue) ringSize() int { return len(q.wcol) }
+// hold appends position p.  When the array is full and the popped
+// positions are at least as many as the held ones, it drops the popped
+// ones instead of letting append grow the array, so appends stay
+// amortized O(1) and the array within four times the peak backlog.
+func (q *Queue) hold(p uint64) {
+	if len(q.pos) == cap(q.pos) && 2*q.ph >= len(q.pos) {
+		n := copy(q.pos, q.pos[q.ph:])
+		q.pos, q.ph = q.pos[:n], 0
+	}
+	q.pos = append(q.pos, p)
+}
 
-// relinearize copies the live ring segment of one column in FIFO order
-// into dst (len(dst) >= live count).
-func relinearize[T any](dst, ring []T, head uint64, n int) {
-	if n == 0 || len(ring) == 0 {
+// admit applies the capacity bound to one event of weight w with Push's
+// accounting: it returns false — and records the refusal — if the event
+// does not fit.
+func (q *Queue) admit(w int64) bool {
+	if q.capWeight > 0 && q.weight+w > q.capWeight {
+		q.overflow = true
+		q.refused += w
+		return false
+	}
+	q.weight += w
+	q.totalIn += w
+	return true
+}
+
+// take admits the log rows at base+start, base+start+stride, ... (weights
+// w[start], w[start+stride], ...) in order, with exact Push semantics.
+// When the whole subset fits under the bound it skips the per-event
+// checks; refused rows stay in the log, dead.
+func (q *Queue) take(w []int64, base uint64, start, stride int) {
+	var wsum int64
+	for i := start; i < len(w); i += stride {
+		wsum += w[i]
+	}
+	if q.capWeight == 0 || q.weight+wsum <= q.capWeight {
+		for i := start; i < len(w); i += stride {
+			q.hold(base + uint64(i))
+		}
+		q.weight += wsum
+		q.totalIn += wsum
 		return
 	}
-	h := int(head & uint64(len(ring)-1))
-	c := copy(dst, ring[h:min(h+n, len(ring))])
-	if c < n {
-		copy(dst[c:], ring[:n-c])
-	}
-}
-
-// grow doubles the rings (or allocates the initial ones), relinearising the
-// live events at the front.
-func (q *Queue) grow() {
-	size := 2 * q.ringSize()
-	if size < minRingSize {
-		size = minRingSize
-	}
-	n := int(q.tail - q.head)
-	stream := make([]tuple.StreamID, size)
-	userID := make([]int64, size)
-	gemPackID := make([]int64, size)
-	price := make([]int64, size)
-	eventTime := make([]time.Duration, size)
-	ingestTime := make([]time.Duration, size)
-	wcol := make([]int64, size)
-	relinearize(stream, q.stream, q.head, n)
-	relinearize(userID, q.userID, q.head, n)
-	relinearize(gemPackID, q.gemPackID, q.head, n)
-	relinearize(price, q.price, q.head, n)
-	relinearize(eventTime, q.eventTime, q.head, n)
-	relinearize(ingestTime, q.ingestTime, q.head, n)
-	relinearize(wcol, q.wcol, q.head, n)
-	q.stream, q.userID, q.gemPackID, q.price = stream, userID, gemPackID, price
-	q.eventTime, q.ingestTime, q.wcol = eventTime, ingestTime, wcol
-	q.head = 0
-	q.tail = uint64(n)
-}
-
-// reserve grows the rings until they can hold n more events.
-func (q *Queue) reserve(n int) {
-	for q.ringSize()-int(q.tail-q.head) < n {
-		q.grow()
+	for i := start; i < len(w); i += stride {
+		if q.admit(w[i]) {
+			q.hold(base + uint64(i))
+		}
 	}
 }
 
@@ -132,24 +254,14 @@ func (q *Queue) reserve(n int) {
 // overflowed — if the event does not fit; the driver converts that into an
 // experiment failure at the offered rate.
 func (q *Queue) Push(e tuple.Event) bool {
-	if q.capWeight > 0 && q.weight+e.Weight > q.capWeight {
-		q.overflow = true
+	if !q.admit(e.Weight) {
 		return false
 	}
-	if int(q.tail-q.head) == q.ringSize() {
-		q.grow()
-	}
-	i := q.tail & uint64(q.ringSize()-1)
-	q.stream[i] = e.Stream
-	q.userID[i] = e.UserID
-	q.gemPackID[i] = e.GemPackID
-	q.price[i] = e.Price
-	q.eventTime[i] = e.EventTime
-	q.ingestTime[i] = e.IngestTime
-	q.wcol[i] = e.Weight
-	q.tail++
-	q.weight += e.Weight
-	q.totalIn += e.Weight
+	q.g.reserve(1)
+	l := &q.g.log
+	l.set(l.tail, e)
+	q.hold(l.tail)
+	l.tail++
 	return true
 }
 
@@ -166,156 +278,58 @@ func (q *Queue) PushBatch(events []tuple.Event) int {
 	return len(events)
 }
 
-// scatterCol copies every stride-th element of src starting at start into
-// the ring from free-running position t.
-func scatterCol[T any](ring []T, t, mask uint64, src []T, start, stride int) {
-	j := t
-	for i := start; i < len(src); i += stride {
-		ring[j&mask] = src[i]
-		j++
-	}
-}
-
-// pushCols bulk-pushes the strided row subset {start, start+stride, ...}
-// of a columnar view, preserving per-event Push semantics.  When the whole
-// subset fits under the capacity bound the columns move with per-column
-// strided copies and one accounting update; otherwise it falls back to
-// per-event Push so overflow detection is bit-identical to the row path.
-func (q *Queue) pushCols(c tuple.Cols, start, stride int) {
-	n := len(c.Weight)
-	if start >= n || stride <= 0 {
-		return
-	}
-	count := (n - start + stride - 1) / stride
-	var wsum int64
-	for i := start; i < n; i += stride {
-		wsum += c.Weight[i]
-	}
-	if q.capWeight > 0 && q.weight+wsum > q.capWeight {
-		for i := start; i < n; i += stride {
-			q.Push(c.Row(i))
-		}
-		return
-	}
-	q.reserve(count)
-	mask := uint64(q.ringSize() - 1)
-	t := q.tail
-	scatterCol(q.stream, t, mask, c.Stream, start, stride)
-	scatterCol(q.userID, t, mask, c.UserID, start, stride)
-	scatterCol(q.gemPackID, t, mask, c.GemPackID, start, stride)
-	scatterCol(q.price, t, mask, c.Price, start, stride)
-	scatterCol(q.eventTime, t, mask, c.EventTime, start, stride)
-	scatterCol(q.ingestTime, t, mask, c.IngestTime, start, stride)
-	scatterCol(q.wcol, t, mask, c.Weight, start, stride)
-	q.tail += uint64(count)
-	q.weight += wsum
-	q.totalIn += wsum
-}
-
 // PushFromBatch pushes every row of the batch in order — the bulk
 // column-to-column transfer engines use to move a pulled batch into an
 // internal buffer (Storm's spout-to-bolt queue).  Semantics match pushing
 // the rows one by one.
 func (q *Queue) PushFromBatch(b *tuple.Batch) {
-	q.pushCols(b.Columns(), 0, 1)
-}
-
-// row materializes the ring entry at masked index i.
-func (q *Queue) row(i uint64) tuple.Event {
-	return tuple.Event{
-		Stream:     q.stream[i],
-		UserID:     q.userID[i],
-		GemPackID:  q.gemPackID[i],
-		Price:      q.price[i],
-		EventTime:  q.eventTime[i],
-		IngestTime: q.ingestTime[i],
-		Weight:     q.wcol[i],
+	if b.Len() > 0 {
+		c := b.Columns()
+		q.take(c.Weight, q.g.appendCols(c), 0, 1)
 	}
 }
 
 // Pop removes and returns the oldest event; ok is false if the queue is
 // empty.
-func (q *Queue) Pop() (e tuple.Event, ok bool) {
-	if q.head == q.tail {
+func (q *Queue) Pop() (tuple.Event, bool) {
+	if q.ph == len(q.pos) {
 		return tuple.Event{}, false
 	}
-	e = q.row(q.head & uint64(q.ringSize()-1))
-	q.head++
+	e := q.g.log.row(q.pos[q.ph])
+	q.ph++
 	q.weight -= e.Weight
 	q.totalOut += e.Weight
 	return e, true
 }
 
-// popSeg copies the two FIFO segments [h, h+n) mod ringSize of one column
-// into dst.
-func popSeg[T any](dst, ring []T, h int, n int) {
-	c := copy(dst, ring[h:min(h+n, len(ring))])
-	if c < n {
-		copy(dst[c:], ring[:n-c])
-	}
-}
-
 // PopBatch appends up to max events in FIFO order to dst and returns how
-// many were moved.  The copies in dst are owned by the caller; columns
-// move as at most two contiguous segments each.
+// many were moved.  The copies in dst are owned by the caller.
 func (q *Queue) PopBatch(dst *tuple.Batch, max int) int {
-	n := int(q.tail - q.head)
-	if n > max {
-		n = max
-	}
+	n := min(q.Len(), max)
 	if n <= 0 {
 		return 0
 	}
-	c := dst.Extend(n)
-	h := int(q.head & uint64(q.ringSize()-1))
-	popSeg(c.Stream, q.stream, h, n)
-	popSeg(c.UserID, q.userID, h, n)
-	popSeg(c.GemPackID, q.gemPackID, h, n)
-	popSeg(c.Price, q.price, h, n)
-	popSeg(c.EventTime, q.eventTime, h, n)
-	popSeg(c.IngestTime, q.ingestTime, h, n)
-	popSeg(c.Weight, q.wcol, h, n)
-	var wsum int64
-	for _, w := range c.Weight {
-		wsum += w
-	}
-	q.head += uint64(n)
-	q.weight -= wsum
-	q.totalOut += wsum
+	pos := q.pos[q.ph : q.ph+n]
+	// Handing the positions off onto their own slots only does the
+	// accounting; they stay readable until the next append.
+	q.handOff(pos, 1, n, &q.g.log)
+	q.g.log.gather(dst.Extend(n), pos)
 	return n
 }
 
-// gatherCol copies count ring elements starting at free-running position h
-// into dst at positions offset, offset+stride, ...
-func gatherCol[T any](dst []T, offset, stride int, ring []T, h, mask uint64, count int) {
-	j := offset
-	for r := 0; r < count; r++ {
-		dst[j] = ring[(h+uint64(r))&mask]
-		j += stride
-	}
-}
-
-// popStrided removes count events from the head, writing row r to the
-// strided positions offset+r*stride of the columnar view — the bulk leg of
-// the group's round-robin drain.
-func (q *Queue) popStrided(c tuple.Cols, offset, stride, count int) {
-	mask := uint64(q.ringSize() - 1)
-	h := q.head
-	gatherCol(c.Stream, offset, stride, q.stream, h, mask, count)
-	gatherCol(c.UserID, offset, stride, q.userID, h, mask, count)
-	gatherCol(c.GemPackID, offset, stride, q.gemPackID, h, mask, count)
-	gatherCol(c.Price, offset, stride, q.price, h, mask, count)
-	gatherCol(c.EventTime, offset, stride, q.eventTime, h, mask, count)
-	gatherCol(c.IngestTime, offset, stride, q.ingestTime, h, mask, count)
+// handOff removes count positions from the FIFO head, writing them to
+// order at 0, stride, 2*stride, ... — one queue's leg of the group's
+// round-robin drain.
+func (q *Queue) handOff(order []uint64, stride, count int, l *eventLog) {
+	w, m := l.cols.Weight, l.mask()
 	var wsum int64
-	j := offset
-	for r := 0; r < count; r++ {
-		w := q.wcol[(h+uint64(r))&mask]
-		c.Weight[j] = w
-		wsum += w
+	j := 0
+	for _, p := range q.pos[q.ph : q.ph+count] {
+		order[j] = p
+		wsum += w[p&m]
 		j += stride
 	}
-	q.head += uint64(count)
+	q.ph += count
 	q.weight -= wsum
 	q.totalOut += wsum
 }
@@ -323,14 +337,14 @@ func (q *Queue) popStrided(c tuple.Cols, offset, stride, count int) {
 // Peek returns a copy of the oldest event without removing it; ok is false
 // if the queue is empty.
 func (q *Queue) Peek() (e tuple.Event, ok bool) {
-	if q.head == q.tail {
+	if q.ph == len(q.pos) {
 		return tuple.Event{}, false
 	}
-	return q.row(q.head & uint64(q.ringSize()-1)), true
+	return q.g.log.row(q.pos[q.ph]), true
 }
 
 // Len returns the number of buffered simulated events.
-func (q *Queue) Len() int { return int(q.tail - q.head) }
+func (q *Queue) Len() int { return len(q.pos) - q.ph }
 
 // Weight returns the buffered real-event weight (the paper's "maximum
 // number of events ... queued" tolerance is judged on this).
@@ -342,37 +356,127 @@ func (q *Queue) TotalIn() int64 { return q.totalIn }
 // TotalOut returns the cumulative real-event weight ever popped.
 func (q *Queue) TotalOut() int64 { return q.totalOut }
 
+// Refused returns the cumulative real-event weight refused for capacity.
+func (q *Queue) Refused() int64 { return q.refused }
+
 // Overflowed reports whether a push was ever refused.
 func (q *Queue) Overflowed() bool { return q.overflow }
 
 // Group is the set of queues of one deployment (one per generator
-// instance), with helpers for the SUT side to drain them fairly.
+// instance), with helpers for the SUT side to drain them fairly.  The
+// members' events share the group's log.
 type Group struct {
-	queues []*Queue
-	next   int
-	// live is PopBatch's scratch of non-empty queue indices.
-	live []int
+	// members holds the queues themselves; queues points at them.
+	members []Queue
+	queues  []*Queue
+	next    int
+	log     eventLog
+	// live and order are PopBatch's scratch: a phase's non-empty queue
+	// indices and the drained positions in output order.
+	live  []int
+	order []uint64
 }
 
 // NewGroup creates n queues named prefix-0..n-1, each with capWeight.
 func NewGroup(prefix string, n int, capWeight int64) *Group {
-	g := &Group{}
-	for i := 0; i < n; i++ {
-		g.queues = append(g.queues, New(fmt.Sprintf("%s-%d", prefix, i), capWeight))
+	g := newGroup(n, capWeight)
+	for i, q := range g.queues {
+		q.name = fmt.Sprintf("%s-%d", prefix, i)
 	}
 	return g
+}
+
+// newGroup creates n unnamed members.  The members, and their first
+// position slots, lie next to each other, so a drain walks adjacent
+// memory.
+func newGroup(n int, capWeight int64) *Group {
+	g := &Group{members: make([]Queue, n), queues: make([]*Queue, n)}
+	held := make([]uint64, n*heldPerQueue)
+	for i := range g.members {
+		k := i * heldPerQueue
+		g.members[i] = Queue{pos: held[k : k : k+heldPerQueue], capWeight: capWeight, g: g}
+		g.queues[i] = &g.members[i]
+	}
+	return g
+}
+
+// reserve makes room in the log for n more rows.  It first releases the
+// rows before the oldest position any member still holds.  If that is not
+// enough and at most half the rows left are held — members drained
+// unevenly, so dead rows pin the span — it squeezes them out.  It grows
+// the log only if the log is still full.
+func (g *Group) reserve(n int) {
+	l := &g.log
+	if len(l.cols.Weight)-int(l.tail-l.head) >= n {
+		return
+	}
+	l.head = l.tail
+	for _, q := range g.queues {
+		if q.Len() > 0 {
+			l.head = min(l.head, q.pos[q.ph])
+		}
+	}
+	if span := int(l.tail - l.head); len(l.cols.Weight)-span < n && 2*g.Len() <= span {
+		g.squeeze()
+	}
+	size := max(len(l.cols.Weight), minRingSize)
+	for size < int(l.tail-l.head)+n {
+		size *= 2
+	}
+	if size > len(l.cols.Weight) {
+		l.resize(size)
+	}
+}
+
+// squeeze moves the held rows down over the dead ones, keeping their log
+// order, and renumbers the members' positions to match: the held rows end
+// up at consecutive positions from head.  It borrows PopBatch's order as
+// scratch, rank[i] being the new offset of the row at head+i.
+func (g *Group) squeeze() {
+	l := &g.log
+	span := int(l.tail - l.head)
+	rank := slices.Grow(g.order[:0], span)[:span]
+	clear(rank)
+	for _, q := range g.queues {
+		for _, p := range q.pos[q.ph:] {
+			rank[p-l.head] = 1
+		}
+	}
+	var k uint64
+	for i, held := range rank {
+		if held != 0 {
+			rank[i] = k
+			l.set(l.head+k, l.row(l.head+uint64(i)))
+			k++
+		}
+	}
+	for _, q := range g.queues {
+		for j, p := range q.pos[q.ph:] {
+			q.pos[q.ph+j] = l.head + rank[p-l.head]
+		}
+	}
+	l.tail = l.head + k
+	g.order = rank[:0]
+}
+
+// appendCols reserves room for and appends every row of c to the log,
+// returning the first row's position.
+func (g *Group) appendCols(c tuple.Cols) uint64 {
+	g.reserve(len(c.Weight))
+	return g.log.appendCols(c)
 }
 
 // Queues returns the member queues.
 func (g *Group) Queues() []*Queue { return g.queues }
 
-// Reset empties every member queue and rewinds the drain cursor, keeping
-// grown rings (see driver.Probe).
+// Reset empties every member queue and the log and rewinds the drain
+// cursor, keeping grown storage (see driver.Probe).
 func (g *Group) Reset() {
 	for _, q := range g.queues {
 		q.Reset()
 	}
 	g.next = 0
+	g.log.head, g.log.tail = 0, 0
 }
 
 // Queue returns the i-th member.
@@ -381,67 +485,53 @@ func (g *Group) Queue(i int) *Queue { return g.queues[i] }
 // Size returns the number of queues.
 func (g *Group) Size() int { return len(g.queues) }
 
-// Weight returns the total buffered real-event weight across the group.
-func (g *Group) Weight() int64 {
-	var w int64
+// sum adds up one per-member figure.
+func (g *Group) sum(f func(*Queue) int64) int64 {
+	var s int64
 	for _, q := range g.queues {
-		w += q.weight
+		s += f(q)
 	}
-	return w
+	return s
 }
+
+// Weight returns the total buffered real-event weight across the group.
+func (g *Group) Weight() int64 { return g.sum((*Queue).Weight) }
 
 // Len returns the total number of buffered simulated events.
 func (g *Group) Len() int {
-	n := 0
-	for _, q := range g.queues {
-		n += q.Len()
-	}
-	return n
+	return int(g.sum(func(q *Queue) int64 { return int64(q.Len()) }))
 }
 
 // TotalIn returns cumulative pushed weight across the group.
-func (g *Group) TotalIn() int64 {
-	var w int64
-	for _, q := range g.queues {
-		w += q.totalIn
-	}
-	return w
-}
+func (g *Group) TotalIn() int64 { return g.sum((*Queue).TotalIn) }
 
 // TotalOut returns cumulative popped weight across the group — the SUT's
 // cumulative ingestion, which is where the paper measures throughput.
-func (g *Group) TotalOut() int64 {
-	var w int64
-	for _, q := range g.queues {
-		w += q.totalOut
-	}
-	return w
-}
+func (g *Group) TotalOut() int64 { return g.sum((*Queue).TotalOut) }
+
+// Refused returns cumulative weight refused for capacity across the group.
+func (g *Group) Refused() int64 { return g.sum((*Queue).Refused) }
 
 // Overflowed reports whether any member overflowed.
 func (g *Group) Overflowed() bool {
-	for _, q := range g.queues {
-		if q.overflow {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(g.queues, (*Queue).Overflowed)
 }
 
 // Scatter distributes the batch's rows round-robin over the member queues
-// (row i to queue i mod size), preserving each queue's arrival order —
-// the generator's fan-out.  Each queue receives its strided row subset as
-// per-column bulk copies; capacity bounds and overflow marking behave
-// exactly as if the rows had been Pushed one by one in row order.
+// (row i to queue i mod size, starting at queue 0 every call), preserving
+// each queue's arrival order — the generator's fan-out.  The rows are
+// copied into the log once and each queue takes its strided positions;
+// capacity bounds and overflow marking behave exactly as if the rows had
+// been Pushed one by one in row order.
 func (g *Group) Scatter(b *tuple.Batch) {
-	size := len(g.queues)
-	n := b.Len()
+	size, n := len(g.queues), b.Len()
 	if size == 0 || n == 0 {
 		return
 	}
 	c := b.Columns()
+	base := g.appendCols(c)
 	for qi := 0; qi < size && qi < n; qi++ {
-		g.queues[qi].pushCols(c, qi, size)
+		g.members[qi].take(c.Weight, base, qi, size)
 	}
 }
 
@@ -453,22 +543,27 @@ func (g *Group) Scatter(b *tuple.Batch) {
 //
 // The drain runs in phases over which the set of non-empty queues stays
 // the same: each phase takes as many full rounds over that set as its
-// shortest member and max allow, as one strided per-column gather per
-// queue.  When fewer events than the set's size remain to be moved, a
-// partial last round takes one event from each of the first queues in
-// cursor order.  The interleaving in dst is identical to the historical
+// shortest member and max allow, handing each queue's positions to the
+// drain order at the set's stride.  When fewer events than the set's size
+// remain to be moved, a partial last round takes one event from each of
+// the first queues in cursor order.  The rows are then gathered from the
+// log once.  The interleaving in dst is identical to the historical
 // per-event rotation that skips empty queues.
 func (g *Group) PopBatch(dst *tuple.Batch, max int) int {
 	size := len(g.queues)
-	moved := 0
-	for moved < max {
-		// The non-empty queues in cursor order and their shortest length.
+	g.order = g.order[:0]
+	for len(g.order) < max {
+		// The non-empty queues in cursor order, their shortest length
+		// and their total.
 		g.live = g.live[:0]
-		minLen := 0
-		for k := 0; k < size; k++ {
-			qi := (g.next + k) % size
-			if n := g.queues[qi].Len(); n > 0 {
+		minLen, held := 0, 0
+		for k, qi := 0, g.next; k < size; k, qi = k+1, qi+1 {
+			if qi == size {
+				qi = 0
+			}
+			if n := g.members[qi].Len(); n > 0 {
 				g.live = append(g.live, qi)
+				held += n
 				if minLen == 0 || n < minLen {
 					minLen = n
 				}
@@ -477,18 +572,23 @@ func (g *Group) PopBatch(dst *tuple.Batch, max int) int {
 		if len(g.live) == 0 {
 			break
 		}
-		rounds := min(minLen, (max-moved)/len(g.live))
+		left := max - len(g.order)
+		rounds := min(minLen, left/len(g.live))
 		if rounds == 0 {
-			g.live, rounds = g.live[:max-moved], 1
+			g.live, rounds = g.live[:left], 1
 		}
-		c := dst.Extend(rounds * len(g.live))
+		base := len(g.order)
+		g.order = slices.Grow(g.order, rounds*len(g.live))[:base+rounds*len(g.live)]
 		for k, qi := range g.live {
-			g.queues[qi].popStrided(c, k, len(g.live), rounds)
+			g.members[qi].handOff(g.order[base+k:], len(g.live), rounds, &g.log)
 		}
-		moved += rounds * len(g.live)
 		// The queues skipped between the old cursor and the last one
 		// popped are empty, so the next phase's order is unchanged.
 		g.next = (g.live[len(g.live)-1] + 1) % size
+		if rounds*len(g.live) == held {
+			break // drained
+		}
 	}
-	return moved
+	g.log.gather(dst.Extend(len(g.order)), g.order)
+	return len(g.order)
 }

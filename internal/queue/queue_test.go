@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -359,6 +360,565 @@ func TestGroupAggregates(t *testing.T) {
 	}
 }
 
+// The ring-per-queue implementation the log-backed group replaced, kept
+// as the reference model for TestGroupMatchesRingReference: each queue
+// owned seven column rings, Scatter pushed strided column subsets into
+// them and PopBatch gathered strided per queue.
+
+// refQueue is a FIFO buffer of events with weight-based capacity accounting.
+// It is not safe for concurrent use; each simulation run is
+// single-goroutine (runs themselves may execute in parallel, each with its
+// own queues).
+type refQueue struct {
+	name string
+	// capWeight is the maximum buffered real-event weight; 0 means
+	// unbounded.  The paper's queues are memory-bounded on the driver
+	// machines; exceeding the bound means the generator can no longer
+	// buffer and the experiment is halted.
+	capWeight int64
+
+	// The ring is columnar: seven parallel power-of-two slices of equal
+	// length; head and tail are free-running counters masked by
+	// len(ring)-1.  tail-head is the live count.
+	stream     []tuple.StreamID
+	userID     []int64
+	gemPackID  []int64
+	price      []int64
+	eventTime  []time.Duration
+	ingestTime []time.Duration
+	wcol       []int64
+	head       uint64
+	tail       uint64
+
+	weight   int64
+	totalIn  int64 // cumulative real-event weight pushed
+	totalOut int64 // cumulative real-event weight popped
+	overflow bool
+}
+
+// newRef creates a queue.  capWeight is the maximum real-event weight buffered
+// (0 = unbounded).
+func newRef(name string, capWeight int64) *refQueue {
+	return &refQueue{name: name, capWeight: capWeight}
+}
+
+// Reset empties the queue and clears all accounting (weight, totals,
+// overflow), keeping the grown rings so a reused run performs no ring
+// growth (see driver.Probe).
+func (q *refQueue) Reset() {
+	q.head, q.tail = 0, 0
+	q.weight, q.totalIn, q.totalOut = 0, 0, 0
+	q.overflow = false
+}
+
+// ringSize returns the current ring capacity.
+func (q *refQueue) ringSize() int { return len(q.wcol) }
+
+// refRelinearize copies the live ring segment of one column in FIFO order
+// into dst (len(dst) >= live count).
+func refRelinearize[T any](dst, ring []T, head uint64, n int) {
+	if n == 0 || len(ring) == 0 {
+		return
+	}
+	h := int(head & uint64(len(ring)-1))
+	c := copy(dst, ring[h:min(h+n, len(ring))])
+	if c < n {
+		copy(dst[c:], ring[:n-c])
+	}
+}
+
+// grow doubles the rings (or allocates the initial ones), relinearising the
+// live events at the front.
+func (q *refQueue) grow() {
+	size := 2 * q.ringSize()
+	if size < minRingSize {
+		size = minRingSize
+	}
+	n := int(q.tail - q.head)
+	stream := make([]tuple.StreamID, size)
+	userID := make([]int64, size)
+	gemPackID := make([]int64, size)
+	price := make([]int64, size)
+	eventTime := make([]time.Duration, size)
+	ingestTime := make([]time.Duration, size)
+	wcol := make([]int64, size)
+	refRelinearize(stream, q.stream, q.head, n)
+	refRelinearize(userID, q.userID, q.head, n)
+	refRelinearize(gemPackID, q.gemPackID, q.head, n)
+	refRelinearize(price, q.price, q.head, n)
+	refRelinearize(eventTime, q.eventTime, q.head, n)
+	refRelinearize(ingestTime, q.ingestTime, q.head, n)
+	refRelinearize(wcol, q.wcol, q.head, n)
+	q.stream, q.userID, q.gemPackID, q.price = stream, userID, gemPackID, price
+	q.eventTime, q.ingestTime, q.wcol = eventTime, ingestTime, wcol
+	q.head = 0
+	q.tail = uint64(n)
+}
+
+// reserve grows the rings until they can hold n more events.
+func (q *refQueue) reserve(n int) {
+	for q.ringSize()-int(q.tail-q.head) < n {
+		q.grow()
+	}
+}
+
+// Push appends an event.  It returns false — and marks the queue
+// overflowed — if the event does not fit; the driver converts that into an
+// experiment failure at the offered rate.
+func (q *refQueue) Push(e tuple.Event) bool {
+	if q.capWeight > 0 && q.weight+e.Weight > q.capWeight {
+		q.overflow = true
+		return false
+	}
+	if int(q.tail-q.head) == q.ringSize() {
+		q.grow()
+	}
+	i := q.tail & uint64(q.ringSize()-1)
+	q.stream[i] = e.Stream
+	q.userID[i] = e.UserID
+	q.gemPackID[i] = e.GemPackID
+	q.price[i] = e.Price
+	q.eventTime[i] = e.EventTime
+	q.ingestTime[i] = e.IngestTime
+	q.wcol[i] = e.Weight
+	q.tail++
+	q.weight += e.Weight
+	q.totalIn += e.Weight
+	return true
+}
+
+// refScatterCol copies every stride-th element of src starting at start into
+// the ring from free-running position t.
+func refScatterCol[T any](ring []T, t, mask uint64, src []T, start, stride int) {
+	j := t
+	for i := start; i < len(src); i += stride {
+		ring[j&mask] = src[i]
+		j++
+	}
+}
+
+// pushCols bulk-pushes the strided row subset {start, start+stride, ...}
+// of a columnar view, preserving per-event Push semantics.  When the whole
+// subset fits under the capacity bound the columns move with per-column
+// strided copies and one accounting update; otherwise it falls back to
+// per-event Push so overflow detection is bit-identical to the row path.
+func (q *refQueue) pushCols(c tuple.Cols, start, stride int) {
+	n := len(c.Weight)
+	if start >= n || stride <= 0 {
+		return
+	}
+	count := (n - start + stride - 1) / stride
+	var wsum int64
+	for i := start; i < n; i += stride {
+		wsum += c.Weight[i]
+	}
+	if q.capWeight > 0 && q.weight+wsum > q.capWeight {
+		for i := start; i < n; i += stride {
+			q.Push(c.Row(i))
+		}
+		return
+	}
+	q.reserve(count)
+	mask := uint64(q.ringSize() - 1)
+	t := q.tail
+	refScatterCol(q.stream, t, mask, c.Stream, start, stride)
+	refScatterCol(q.userID, t, mask, c.UserID, start, stride)
+	refScatterCol(q.gemPackID, t, mask, c.GemPackID, start, stride)
+	refScatterCol(q.price, t, mask, c.Price, start, stride)
+	refScatterCol(q.eventTime, t, mask, c.EventTime, start, stride)
+	refScatterCol(q.ingestTime, t, mask, c.IngestTime, start, stride)
+	refScatterCol(q.wcol, t, mask, c.Weight, start, stride)
+	q.tail += uint64(count)
+	q.weight += wsum
+	q.totalIn += wsum
+}
+
+// PushFromBatch pushes every row of the batch in order — the bulk
+// column-to-column transfer engines use to move a pulled batch into an
+// internal buffer (Storm's spout-to-bolt queue).  Semantics match pushing
+// the rows one by one.
+func (q *refQueue) PushFromBatch(b *tuple.Batch) {
+	q.pushCols(b.Columns(), 0, 1)
+}
+
+// row materializes the ring entry at masked index i.
+func (q *refQueue) row(i uint64) tuple.Event {
+	return tuple.Event{
+		Stream:     q.stream[i],
+		UserID:     q.userID[i],
+		GemPackID:  q.gemPackID[i],
+		Price:      q.price[i],
+		EventTime:  q.eventTime[i],
+		IngestTime: q.ingestTime[i],
+		Weight:     q.wcol[i],
+	}
+}
+
+// Pop removes and returns the oldest event; ok is false if the queue is
+// empty.
+func (q *refQueue) Pop() (e tuple.Event, ok bool) {
+	if q.head == q.tail {
+		return tuple.Event{}, false
+	}
+	e = q.row(q.head & uint64(q.ringSize()-1))
+	q.head++
+	q.weight -= e.Weight
+	q.totalOut += e.Weight
+	return e, true
+}
+
+// refPopSeg copies the two FIFO segments [h, h+n) mod ringSize of one column
+// into dst.
+func refPopSeg[T any](dst, ring []T, h int, n int) {
+	c := copy(dst, ring[h:min(h+n, len(ring))])
+	if c < n {
+		copy(dst[c:], ring[:n-c])
+	}
+}
+
+// PopBatch appends up to max events in FIFO order to dst and returns how
+// many were moved.  The copies in dst are owned by the caller; columns
+// move as at most two contiguous segments each.
+func (q *refQueue) PopBatch(dst *tuple.Batch, max int) int {
+	n := int(q.tail - q.head)
+	if n > max {
+		n = max
+	}
+	if n <= 0 {
+		return 0
+	}
+	c := dst.Extend(n)
+	h := int(q.head & uint64(q.ringSize()-1))
+	refPopSeg(c.Stream, q.stream, h, n)
+	refPopSeg(c.UserID, q.userID, h, n)
+	refPopSeg(c.GemPackID, q.gemPackID, h, n)
+	refPopSeg(c.Price, q.price, h, n)
+	refPopSeg(c.EventTime, q.eventTime, h, n)
+	refPopSeg(c.IngestTime, q.ingestTime, h, n)
+	refPopSeg(c.Weight, q.wcol, h, n)
+	var wsum int64
+	for _, w := range c.Weight {
+		wsum += w
+	}
+	q.head += uint64(n)
+	q.weight -= wsum
+	q.totalOut += wsum
+	return n
+}
+
+// refGatherCol copies count ring elements starting at free-running position h
+// into dst at positions offset, offset+stride, ...
+func refGatherCol[T any](dst []T, offset, stride int, ring []T, h, mask uint64, count int) {
+	j := offset
+	for r := 0; r < count; r++ {
+		dst[j] = ring[(h+uint64(r))&mask]
+		j += stride
+	}
+}
+
+// popStrided removes count events from the head, writing row r to the
+// strided positions offset+r*stride of the columnar view — the bulk leg of
+// the group's round-robin drain.
+func (q *refQueue) popStrided(c tuple.Cols, offset, stride, count int) {
+	mask := uint64(q.ringSize() - 1)
+	h := q.head
+	refGatherCol(c.Stream, offset, stride, q.stream, h, mask, count)
+	refGatherCol(c.UserID, offset, stride, q.userID, h, mask, count)
+	refGatherCol(c.GemPackID, offset, stride, q.gemPackID, h, mask, count)
+	refGatherCol(c.Price, offset, stride, q.price, h, mask, count)
+	refGatherCol(c.EventTime, offset, stride, q.eventTime, h, mask, count)
+	refGatherCol(c.IngestTime, offset, stride, q.ingestTime, h, mask, count)
+	var wsum int64
+	j := offset
+	for r := 0; r < count; r++ {
+		w := q.wcol[(h+uint64(r))&mask]
+		c.Weight[j] = w
+		wsum += w
+		j += stride
+	}
+	q.head += uint64(count)
+	q.weight -= wsum
+	q.totalOut += wsum
+}
+
+// Peek returns a copy of the oldest event without removing it; ok is false
+// if the queue is empty.
+func (q *refQueue) Peek() (e tuple.Event, ok bool) {
+	if q.head == q.tail {
+		return tuple.Event{}, false
+	}
+	return q.row(q.head & uint64(q.ringSize()-1)), true
+}
+
+// Len returns the number of buffered simulated events.
+func (q *refQueue) Len() int { return int(q.tail - q.head) }
+
+// refGroup is the set of queues of one deployment (one per generator
+// instance), with helpers for the SUT side to drain them fairly.
+type refGroup struct {
+	queues []*refQueue
+	next   int
+	// live is PopBatch's scratch of non-empty queue indices.
+	live []int
+}
+
+// newRefGroup creates n queues named prefix-0..n-1, each with capWeight.
+func newRefGroup(prefix string, n int, capWeight int64) *refGroup {
+	g := &refGroup{}
+	for i := 0; i < n; i++ {
+		g.queues = append(g.queues, newRef(fmt.Sprintf("%s-%d", prefix, i), capWeight))
+	}
+	return g
+}
+
+// Reset empties every member queue and rewinds the drain cursor, keeping
+// grown rings (see driver.Probe).
+func (g *refGroup) Reset() {
+	for _, q := range g.queues {
+		q.Reset()
+	}
+	g.next = 0
+}
+
+// Scatter distributes the batch's rows round-robin over the member queues
+// (row i to queue i mod size), preserving each queue's arrival order —
+// the generator's fan-out.  Each queue receives its strided row subset as
+// per-column bulk copies; capacity bounds and overflow marking behave
+// exactly as if the rows had been Pushed one by one in row order.
+func (g *refGroup) Scatter(b *tuple.Batch) {
+	size := len(g.queues)
+	n := b.Len()
+	if size == 0 || n == 0 {
+		return
+	}
+	c := b.Columns()
+	for qi := 0; qi < size && qi < n; qi++ {
+		g.queues[qi].pushCols(c, qi, size)
+	}
+}
+
+// PopBatch appends up to max events to dst, removed round-robin across the
+// queues one event at a time, preserving approximate arrival fairness.  It
+// moves fewer than max only when the group is drained.  The round-robin
+// cursor persists across calls so no queue is starved: it is left just
+// after the last queue popped.
+//
+// The drain runs in phases over which the set of non-empty queues stays
+// the same: each phase takes as many full rounds over that set as its
+// shortest member and max allow, as one strided per-column gather per
+// queue.  When fewer events than the set's size remain to be moved, a
+// partial last round takes one event from each of the first queues in
+// cursor order.  The interleaving in dst is identical to the historical
+// per-event rotation that skips empty queues.
+func (g *refGroup) PopBatch(dst *tuple.Batch, max int) int {
+	size := len(g.queues)
+	moved := 0
+	for moved < max {
+		// The non-empty queues in cursor order and their shortest length.
+		g.live = g.live[:0]
+		minLen := 0
+		for k := 0; k < size; k++ {
+			qi := (g.next + k) % size
+			if n := g.queues[qi].Len(); n > 0 {
+				g.live = append(g.live, qi)
+				if minLen == 0 || n < minLen {
+					minLen = n
+				}
+			}
+		}
+		if len(g.live) == 0 {
+			break
+		}
+		rounds := min(minLen, (max-moved)/len(g.live))
+		if rounds == 0 {
+			g.live, rounds = g.live[:max-moved], 1
+		}
+		c := dst.Extend(rounds * len(g.live))
+		for k, qi := range g.live {
+			g.queues[qi].popStrided(c, k, len(g.live), rounds)
+		}
+		moved += rounds * len(g.live)
+		// The queues skipped between the old cursor and the last one
+		// popped are empty, so the next phase's order is unchanged.
+		g.next = (g.live[len(g.live)-1] + 1) % size
+	}
+	return moved
+}
+
+// randEvent returns an event with every column drawn, so a row mix-up in
+// any column shows.
+func randEvent(r *rand.Rand, id int) tuple.Event {
+	return tuple.Event{
+		Stream:     tuple.StreamID(r.Intn(2)),
+		UserID:     int64(id),
+		GemPackID:  r.Int63n(1000),
+		Price:      r.Int63n(100),
+		EventTime:  time.Duration(id) * time.Millisecond,
+		IngestTime: time.Duration(r.Intn(1000)),
+		Weight:     int64(r.Intn(300) + 1),
+	}
+}
+
+// TestGroupMatchesRingReference drives random interleavings of every group
+// and member operation — Scatter (batches of 0 to 3×size rows, wrapping
+// and growing the log), member Push, PushFromBatch, Pop, Peek and
+// PopBatch, Group.PopBatch (max from 0), group and member Reset — on a
+// log-backed group and on the ring-per-queue reference, with capacity
+// bounds that overflow partway through a scatter.  After every operation
+// the results, rows and order, cursor (mod size) and every member's Len,
+// Weight, TotalIn, TotalOut and Overflowed must agree, and Refused must
+// equal the weight the reference turned away.
+func TestGroupMatchesRingReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		size := r.Intn(17) + 1
+		var capW int64
+		if r.Intn(3) > 0 {
+			capW = int64(r.Intn(4000) + 300)
+		}
+		got := NewGroup("got", size, capW)
+		if size == 1 && r.Intn(2) == 0 {
+			got = New("got", capW).g
+		}
+		want := newRefGroup("want", size, capW)
+		refused := make([]int64, size)
+		id := 0
+		batch := func(n int) *tuple.Batch {
+			b := tuple.NewBatch(0)
+			for ; n > 0; n-- {
+				b.Append(randEvent(r, id))
+				id++
+			}
+			return b
+		}
+		for op := 0; op < 300; op++ {
+			qi := r.Intn(size)
+			gq, wq := got.queues[qi], want.queues[qi]
+			var what string
+			switch k := r.Intn(20); {
+			case k < 6:
+				what = "Scatter"
+				b := batch(r.Intn(3*size + 1))
+				in := make([]int64, size)
+				for i, q := range want.queues {
+					in[i] = q.totalIn
+				}
+				got.Scatter(b)
+				want.Scatter(b)
+				for i, w := range b.Columns().Weight {
+					refused[i%size] += w
+				}
+				for i, q := range want.queues {
+					refused[i] -= q.totalIn - in[i]
+				}
+			case k < 8:
+				what = "Push"
+				e := randEvent(r, id)
+				id++
+				gok, wok := gq.Push(e), wq.Push(e)
+				if gok != wok {
+					t.Logf("seed %d op %d: Push %v, reference %v", seed, op, gok, wok)
+					return false
+				}
+				if !wok {
+					refused[qi] += e.Weight
+				}
+			case k < 9:
+				what = "PushFromBatch"
+				b := batch(r.Intn(8))
+				in := wq.totalIn
+				gq.PushFromBatch(b)
+				wq.PushFromBatch(b)
+				refused[qi] += b.Weight() - (wq.totalIn - in)
+			case k < 11:
+				what = "Pop"
+				ge, gok := gq.Pop()
+				we, wok := wq.Pop()
+				if ge != we || gok != wok {
+					t.Logf("seed %d op %d: Pop %+v %v, reference %+v %v", seed, op, ge, gok, we, wok)
+					return false
+				}
+			case k < 12:
+				what = "Peek"
+				ge, gok := gq.Peek()
+				we, wok := wq.Peek()
+				if ge != we || gok != wok {
+					t.Logf("seed %d op %d: Peek %+v %v, reference %+v %v", seed, op, ge, gok, we, wok)
+					return false
+				}
+			case k < 13:
+				what = "member PopBatch"
+				max := r.Intn(12)
+				gb, wb := tuple.NewBatch(0), tuple.NewBatch(0)
+				gn, wn := gq.PopBatch(gb, max), wq.PopBatch(wb, max)
+				if gn != wn || !slices.Equal(gb.AppendRowsTo(nil), wb.AppendRowsTo(nil)) {
+					t.Logf("seed %d op %d: member PopBatch moved %d, reference %d", seed, op, gn, wn)
+					return false
+				}
+			case k < 18:
+				what = "PopBatch"
+				max := r.Intn(3*size*4 + 1)
+				gb, wb := tuple.NewBatch(0), tuple.NewBatch(0)
+				gn, wn := got.PopBatch(gb, max), want.PopBatch(wb, max)
+				if gn != wn || !slices.Equal(gb.AppendRowsTo(nil), wb.AppendRowsTo(nil)) {
+					t.Logf("seed %d op %d: PopBatch moved %d, reference %d", seed, op, gn, wn)
+					return false
+				}
+			case k < 19:
+				what = "member Reset"
+				gq.Reset()
+				wq.Reset()
+				refused[qi] = 0
+			default:
+				what = "Reset"
+				got.Reset()
+				want.Reset()
+				clear(refused)
+			}
+			if got.next%size != want.next%size {
+				t.Logf("seed %d op %d (%s): cursor %d, reference %d", seed, op, what, got.next%size, want.next%size)
+				return false
+			}
+			for i, g := range got.queues {
+				w := want.queues[i]
+				if g.Len() != w.Len() || g.weight != w.weight || g.totalIn != w.totalIn ||
+					g.totalOut != w.totalOut || g.overflow != w.overflow || g.refused != refused[i] {
+					t.Logf("seed %d op %d (%s): queue %d len/w/in/out/ovf/refused %d/%d/%d/%d/%v/%d, reference %d/%d/%d/%d/%v/%d",
+						seed, op, what, i, g.Len(), g.weight, g.totalIn, g.totalOut, g.overflow, g.refused,
+						w.Len(), w.weight, w.totalIn, w.totalOut, w.overflow, refused[i])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupLogStaysNearBacklog drains a group unevenly: 17 rows per
+// scatter over 16 queues, so queue 0 gets two a tick, and 16 drained a
+// tick, so every queue gives up one.  Queue 0's head falls ever further
+// behind the others', and the rows between — popped from the other
+// queues — are dead.  The log must squeeze them out instead of growing
+// with the run: its size stays within a small factor of what is held.
+func TestGroupLogStaysNearBacklog(t *testing.T) {
+	g := NewGroup("g", 16, 0)
+	in, out := tuple.NewBatch(17), tuple.NewBatch(16)
+	for i := 0; i < 17; i++ {
+		in.Append(mkEvent(i, 1))
+	}
+	for tick := 0; tick < 5000; tick++ {
+		g.Scatter(in)
+		out.Reset()
+		g.PopBatch(out, 16)
+	}
+	if size, held := len(g.log.cols.Weight), g.Len(); held != 5000 || size > 4*(held+17) {
+		t.Fatalf("log holds %d rows for %d held events, want at most %d", size, held, 4*(held+17))
+	}
+}
+
 // BenchmarkQueuePushPop measures the steady-state push/pop hot path; it
 // must report 0 allocs/op once the ring has grown to the working set.
 func BenchmarkQueuePushPop(b *testing.B) {
@@ -399,5 +959,37 @@ func BenchmarkQueueBatchTransfer(b *testing.B) {
 		}
 		batch.Reset()
 		g.PopBatch(batch, 256)
+	}
+}
+
+// BenchmarkGroupScatterDrain measures the generator-to-engine path at the
+// steady workloads' tick sizes: each op scatters a 15-row and a 40-row
+// batch over 16 queues and drains each fully.  It must report 0 allocs/op
+// once the log and scratch have grown.
+func BenchmarkGroupScatterDrain(b *testing.B) {
+	g := NewGroup("bench", 16, 0)
+	small, large := tuple.NewBatch(15), tuple.NewBatch(40)
+	for i := 0; i < 40; i++ {
+		if i < 15 {
+			small.Append(mkEvent(i, 20))
+		}
+		large.Append(mkEvent(i, 20))
+	}
+	dst := tuple.NewBatch(64)
+	op := func() {
+		g.Scatter(small)
+		dst.Reset()
+		g.PopBatch(dst, small.Len())
+		g.Scatter(large)
+		dst.Reset()
+		g.PopBatch(dst, large.Len())
+	}
+	// Warm the log and the drain scratch before timing (keeps the
+	// -benchtime=1x CI smoke at 0 allocs/op).
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

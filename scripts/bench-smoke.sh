@@ -15,7 +15,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 if ! go test -run=NONE \
-	-bench='BenchmarkQueuePushPop|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkWindowJoinFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend' \
+	-bench='BenchmarkQueuePushPop|BenchmarkGroupScatterDrain|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkWindowJoinFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend' \
 	-benchtime=1x -benchmem \
 	./internal/queue/ ./internal/generator/ ./internal/window/ ./internal/sim/ ./internal/flat/ ./internal/tuple/ >"$out" 2>&1; then
 	cat "$out"
