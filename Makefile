@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test bench-smoke bench bench-json race smoke scenario-validate chaos compare-gate fuzz profile
+.PHONY: ci vet build test bench-smoke bench bench-json race smoke scenario-validate chaos compare-gate fuzz fuzz-explore profile
 
 ci: vet build test race bench-smoke fuzz scenario-validate chaos compare-gate
 
@@ -61,7 +61,8 @@ compare-gate:
 # speculation workers), the flat keyed-state tables, and the
 # coordinator/agent control plane (ctl runs -short: the synthetic
 # lease/failover tests cover the concurrency; the byte-identity
-# integration tests run in `test`).
+# integration tests run in `test`), plus the ctl journal, resume and agent
+# tests in full.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/par/
 	GOMAXPROCS=4 $(GO) test -race ./internal/flat/
@@ -69,18 +70,28 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/scenario/ -run 'TestTable1Shape'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/ -run 'TestReplicate|TestExp4Shape'
 	$(GO) test -race -short ./internal/ctl/
+	$(GO) test -race ./internal/ctl/ -run 'TestJournal|TestResume|TestAgent'
 
 # Seed-corpus fuzz pass: each fuzz target's seed corpus runs as unit
 # tests, guarding the decode → Validate → evaluate paths (the
 # coordinator's validateSpec among them) against panics on malformed
 # fault schedules and scenario JSON, and the control API's request
 # decoding (bodies and the lease long poll's wait) against 5xx answers.
-# Longer exploratory runs:
-# `go test -run NONE -fuzz FuzzSpecJSON -fuzztime 2m ./internal/scenario/`.
+# `make fuzz-explore` fuzzes beyond the corpora.
 fuzz:
 	$(GO) test -run 'FuzzScheduleValidate|FuzzRescaleValidate' ./internal/fault/
 	$(GO) test -run 'FuzzSpecJSON' ./internal/scenario/
 	$(GO) test -run 'FuzzAPIRequests' ./internal/ctl/
+
+# Exploratory fuzzing: each target mutates its corpus for FUZZTIME.  A
+# crasher lands in the package's testdata/fuzz/<target>/; commit it, and
+# `make fuzz` replays it as a regression seed from then on.
+FUZZTIME ?= 15s
+fuzz-explore:
+	$(GO) test -run NONE -fuzz '^FuzzAPIRequests$$' -fuzztime $(FUZZTIME) ./internal/ctl/
+	$(GO) test -run NONE -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run NONE -fuzz '^FuzzScheduleValidate$$' -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run NONE -fuzz '^FuzzRescaleValidate$$' -fuzztime $(FUZZTIME) ./internal/fault/
 
 # Every shipped scenario spec must parse, validate and compile.
 scenario-validate:

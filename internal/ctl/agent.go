@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -44,6 +46,18 @@ type Agent struct {
 	// to cold ones, so enabling it trades the coordinator's
 	// distributed-vs-direct byte-identity guarantee for speed.
 	WarmStart bool
+
+	// last is the most recently leased run's cell enumeration, reused by
+	// every later lease of that run.
+	last atomic.Pointer[runCells]
+}
+
+// runCells is one run's resolved cell enumeration.
+type runCells struct {
+	runID string
+	spec  RunSpec
+	o     core.Options
+	cells []core.Cell
 }
 
 // Run registers the agent and processes leases until ctx is done.  A
@@ -166,9 +180,20 @@ func (a *Agent) execute(ctx context.Context, agentID string, task *LeaseTask, tt
 
 // executeCached runs one leased cell, serving it from the result cache
 // when an earlier run — possibly of a different but overlapping scenario —
-// already computed a cell with the same content identity.
+// already computed a cell with the same content identity.  A run's cells
+// are enumerated on its first lease only.  The memo is keyed on the spec
+// as well as the run ID, because a coordinator over a wiped store reuses
+// run IDs for other specs.
 func (a *Agent) executeCached(ctx context.Context, task *LeaseTask) ([]byte, error) {
-	cell, o, err := resolveCell(a.Resolve, task)
+	rc := a.last.Load()
+	if rc == nil || rc.runID != task.RunID || !reflect.DeepEqual(rc.spec, task.Spec) {
+		var err error
+		if rc, err = resolveRun(a.Resolve, task); err != nil {
+			return nil, err
+		}
+		a.last.Store(rc)
+	}
+	cell, err := rc.cell(task)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +204,7 @@ func (a *Agent) executeCached(ctx context.Context, task *LeaseTask) ([]byte, err
 	if a.WarmStart && a.Cache != nil {
 		ctx = core.WithWarmStarts(ctx, a.Cache)
 	}
-	v, err := cell.Run(ctx, o)
+	v, err := cell.Run(ctx, rc.o)
 	if err != nil {
 		return nil, err
 	}
@@ -193,36 +218,44 @@ func (a *Agent) executeCached(ctx context.Context, task *LeaseTask) ([]byte, err
 	return result, nil
 }
 
-// resolveCell resolves a lease task to its cell and options, checking the
-// enumeration agrees with the coordinator's.
-func resolveCell(resolve func(string) (core.Experiment, error), task *LeaseTask) (core.Cell, core.Options, error) {
+// resolveRun resolves a lease task's spec and enumerates its run's cells.
+func resolveRun(resolve func(string) (core.Experiment, error), task *LeaseTask) (*runCells, error) {
 	if resolve == nil {
 		resolve = core.Lookup
 	}
 	exp, o, err := validateSpec(resolve, task.Spec)
 	if err != nil {
-		return core.Cell{}, core.Options{}, err
+		return nil, err
 	}
-	cells := exp.Cells(o)
-	if task.CellIndex < 0 || task.CellIndex >= len(cells) {
-		return core.Cell{}, core.Options{}, fmt.Errorf("ctl: %s has no cell %d (%d cells)", task.Spec.Experiment, task.CellIndex, len(cells))
+	return &runCells{runID: task.RunID, spec: task.Spec, o: o, cells: exp.Cells(o)}, nil
+}
+
+// cell picks a lease task's cell, checking the enumeration agrees with the
+// coordinator's.
+func (rc *runCells) cell(task *LeaseTask) (core.Cell, error) {
+	if task.CellIndex < 0 || task.CellIndex >= len(rc.cells) {
+		return core.Cell{}, fmt.Errorf("ctl: %s has no cell %d (%d cells)", task.Spec.Experiment, task.CellIndex, len(rc.cells))
 	}
-	cell := cells[task.CellIndex]
+	cell := rc.cells[task.CellIndex]
 	if task.CellID != "" && cell.ID != task.CellID {
-		return core.Cell{}, core.Options{}, fmt.Errorf("ctl: cell %d of %s is %q here, coordinator says %q (version skew?)",
+		return core.Cell{}, fmt.Errorf("ctl: cell %d of %s is %q here, coordinator says %q (version skew?)",
 			task.CellIndex, task.Spec.Experiment, cell.ID, task.CellID)
 	}
-	return cell, o, nil
+	return cell, nil
 }
 
 // ExecuteCell resolves and runs one cell of a lease task, returning the
 // canonical result encoding the coordinator folds into the artifact.
 func ExecuteCell(ctx context.Context, resolve func(string) (core.Experiment, error), task *LeaseTask) ([]byte, error) {
-	cell, o, err := resolveCell(resolve, task)
+	rc, err := resolveRun(resolve, task)
 	if err != nil {
 		return nil, err
 	}
-	v, err := cell.Run(ctx, o)
+	cell, err := rc.cell(task)
+	if err != nil {
+		return nil, err
+	}
+	v, err := cell.Run(ctx, rc.o)
 	if err != nil {
 		return nil, err
 	}

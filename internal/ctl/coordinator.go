@@ -114,10 +114,11 @@ type subscriber struct {
 
 // NewCoordinator opens the store's runs and resumes every non-terminal
 // one: cells with a stored result are reloaded from the object store, the
-// rest are re-queued, and the write-ahead journal is replayed on top so
-// leases, registered agents and attempt counts from between manifest saves
-// survive the restart.  A crash therefore loses at most the in-flight cell
-// executions, never completed results or counted attempts.
+// rest are re-queued, and the write-ahead journal is replayed on top.  A
+// live run's manifest is written only at submit, so the journal is what
+// carries its completed cells, counted attempts, leases and registered
+// agents across the restart.  A crash therefore loses at most the
+// in-flight cell executions, never completed results or counted attempts.
 func NewCoordinator(store *Store, opt CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		store:   store,
@@ -260,8 +261,8 @@ func (c *Coordinator) Start(ctx context.Context) {
 	}()
 }
 
-// Submit validates the spec, enumerates its cells, persists the manifest
-// and queues every cell.
+// Submit validates the spec, enumerates its cells once, persists the
+// manifest and queues every cell.
 func (c *Coordinator) Submit(spec RunSpec) (RunInfo, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -274,21 +275,23 @@ func (c *Coordinator) Submit(spec RunSpec) (RunInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
+	cells := exp.Cells(o)
 	r := &run{
 		m: RunManifest{
 			ID:     shortID("run", c.seq),
 			Spec:   spec,
 			Status: RunQueued,
-			Cells:  describeCells(exp, o),
+			Cells:  make([]CellManifest, len(cells)),
 		},
-		exp:  exp,
-		opts: o,
+		exp:     exp,
+		opts:    o,
+		cells:   cells,
+		results: make([][]byte, len(cells)),
+		status:  make([]CellStatus, len(cells)),
+		agent:   make([]string, len(cells)),
 	}
-	r.cells = exp.Cells(o)
-	r.results = make([][]byte, len(r.cells))
-	r.status = make([]CellStatus, len(r.cells))
-	r.agent = make([]string, len(r.cells))
-	for i := range r.status {
+	for i := range cells {
+		r.m.Cells[i].ID = cells[i].ID
 		r.status[i] = CellPending
 	}
 	if err := c.store.SaveRun(&r.m); err != nil {
@@ -345,9 +348,10 @@ func (c *Coordinator) Artifact(id string) ([]byte, error) {
 	return c.store.GetObject(sha)
 }
 
-// Manifest returns a copy of a run's persisted manifest — the cell →
+// Manifest returns a copy of a run's in-memory manifest — the cell →
 // result-object map read-side consumers (sdpsreport --from, sdpsctl fetch
-// --dir) use to re-assemble artifacts from the store.
+// --dir) use to re-assemble artifacts from the store.  It is current even
+// mid-run, when the on-disk manifest still shows the run as submitted.
 func (c *Coordinator) Manifest(id string) (*RunManifest, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -515,7 +519,11 @@ func (c *Coordinator) leaseLocked(agentID string) (*LeaseTask, <-chan struct{}, 
 }
 
 // Complete implements AgentAPI: stores the cell result and, when it was
-// the last one, assembles and stores the artifact.
+// the last one, assembles and stores the artifact.  The journal entry is
+// the completion's only durable record until the run's manifest is written
+// at a terminal status, so an append error fails the call before anything
+// changes: the lease stays live, and the agent's retry or the lease's
+// expiry recovers the cell.
 func (c *Coordinator) Complete(leaseID string, result []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -535,9 +543,10 @@ func (c *Coordinator) Complete(leaseID string, result []byte) error {
 		return err
 	}
 	// Journal after the object exists but before any memory mutation: a
-	// crash before the manifest save replays this entry and recovers the
-	// result from the store.
-	c.journal(JournalEntry{Op: opComplete, Lease: leaseID, Run: l.runID, Cell: l.idx, SHA: sha})
+	// restart replays this entry and recovers the result from the store.
+	if err := c.store.AppendJournal(JournalEntry{Op: opComplete, Lease: leaseID, Run: l.runID, Cell: l.idx, SHA: sha}); err != nil {
+		return err
+	}
 	delete(c.leases, leaseID)
 	r.results[l.idx] = result
 	r.status[l.idx] = CellDone
@@ -551,7 +560,7 @@ func (c *Coordinator) Complete(leaseID string, result []byte) error {
 	if r.done == len(r.cells) {
 		return c.finishLocked(r)
 	}
-	return c.store.SaveRun(&r.m)
+	return nil
 }
 
 // Fail implements AgentAPI: counts the attempt and either re-queues the
@@ -563,23 +572,30 @@ func (c *Coordinator) Fail(leaseID string, reason string) error {
 	if !ok {
 		return ErrStaleLease
 	}
-	delete(c.leases, leaseID)
 	r := c.runs[l.runID]
 	if r.m.Status.Terminal() || r.status[l.idx] == CellDone {
+		delete(c.leases, leaseID)
 		return ErrStaleLease
 	}
-	return c.retryLocked(r, l.idx, reason)
+	return c.retryLocked(r, l, reason)
 }
 
-// retryLocked counts one failed attempt for a cell and re-queues or fails.
-func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
-	r.m.Cells[idx].Attempts++
-	// Journal before the requeue/fail decision: a crash between counting
-	// the attempt and saving the manifest replays the count on restart.
-	c.journal(JournalEntry{Op: opFail, Run: r.m.ID, Cell: idx, Attempts: r.m.Cells[idx].Attempts, Reason: reason})
-	if r.m.Cells[idx].Attempts >= c.opt.MaxAttempts {
+// retryLocked counts one failed attempt for a leased cell, drops the lease
+// and re-queues the cell or fails the run.  The journal entry is the
+// attempt's only durable record until a terminal manifest write, so an
+// append error is returned before anything changes: the lease stays, and
+// the next Fail or sweep counts the attempt again.
+func (c *Coordinator) retryLocked(r *run, l *lease, reason string) error {
+	idx := l.idx
+	attempts := r.m.Cells[idx].Attempts + 1
+	if err := c.store.AppendJournal(JournalEntry{Op: opFail, Run: r.m.ID, Cell: idx, Attempts: attempts, Reason: reason}); err != nil {
+		return err
+	}
+	delete(c.leases, l.id)
+	r.m.Cells[idx].Attempts = attempts
+	if attempts >= c.opt.MaxAttempts {
 		return c.failLocked(r, fmt.Sprintf("cell %s failed %d times: last: %s",
-			r.cells[idx].ID, r.m.Cells[idx].Attempts, reason))
+			r.cells[idx].ID, attempts, reason))
 	}
 	r.status[idx] = CellPending
 	c.queue = append(c.queue, cellRef{runID: r.m.ID, idx: idx})
@@ -589,7 +605,7 @@ func (c *Coordinator) retryLocked(r *run, idx int, reason string) error {
 		Cell: r.cells[idx].ID, CellStatus: CellPending, Agent: r.agent[idx],
 		Done: r.done, Total: len(r.cells), Error: reason,
 	})
-	return c.store.SaveRun(&r.m)
+	return nil
 }
 
 // wakeLocked releases every Lease blocked on an empty queue.
@@ -605,14 +621,14 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if !now.After(l.expires) {
 			continue
 		}
-		delete(c.leases, id)
 		r := c.runs[l.runID]
 		if r == nil || r.m.Status.Terminal() || r.status[l.idx] != CellLeased {
+			delete(c.leases, id)
 			continue
 		}
-		// A sweep failure (store I/O) surfaces on the next state change;
-		// the requeue itself is in-memory and has already happened.
-		_ = c.retryLocked(r, l.idx, fmt.Sprintf("lease expired (agent %s gone?)", r.agent[l.idx]))
+		// On a journal error retryLocked keeps the lease, so the next
+		// sweep counts the attempt again.
+		_ = c.retryLocked(r, l, fmt.Sprintf("lease expired (agent %s gone?)", r.agent[l.idx]))
 	}
 }
 

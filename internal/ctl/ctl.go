@@ -118,11 +118,11 @@ type CellManifest struct {
 }
 
 // RunManifest is the persisted state of a run — everything the coordinator
-// needs to resume it after a restart.  Leases and attempt counts between
-// manifest saves are volatile; the write-ahead journal (journal.go)
-// captures those transitions, and a restart replays it over the resumed
-// manifests so in-flight leases, registered agents and counted attempts
-// survive a coordinator crash.
+// needs to resume it after a restart.  The coordinator writes it at submit,
+// at a terminal status and when a restart folds the journal in; in between,
+// completed cells, counted attempts, leases and registered agents live in
+// the write-ahead journal (journal.go), which a restart replays over the
+// resumed manifests.
 type RunManifest struct {
 	ID          string         `json:"id"`
 	Spec        RunSpec        `json:"spec"`
@@ -253,16 +253,6 @@ func validateSpec(resolve func(string) (core.Experiment, error), spec RunSpec) (
 		exp = core.Replicated(exp, spec.Replicate)
 	}
 	return exp, o, nil
-}
-
-// describeCells enumerates an experiment's cell IDs for a manifest.
-func describeCells(exp core.Experiment, o core.Options) []CellManifest {
-	cells := exp.Cells(o)
-	out := make([]CellManifest, len(cells))
-	for i, c := range cells {
-		out[i] = CellManifest{ID: c.ID}
-	}
-	return out
 }
 
 // shortID formats sequence numbers as stable, sortable IDs.

@@ -174,6 +174,80 @@ func TestAgentCacheReusesFinishedCells(t *testing.T) {
 	}
 }
 
+// TestAgentMemoizesRunCells counts Resolve calls: an agent enumerates a
+// run's cells on its first lease only, re-resolves for the next run and
+// for a reused run ID with a different spec, and still checks every
+// lease's cell ID against its enumeration.
+func TestAgentMemoizesRunCells(t *testing.T) {
+	exp := testExperiment("synth", 4, nil)
+	var resolves atomic.Int32
+	counting := func(id string) (core.Experiment, error) {
+		resolves.Add(1)
+		return resolverFor(exp)(id)
+	}
+	a := &Agent{Name: "memo", Poll: time.Millisecond, Resolve: counting}
+	runOne := func(c *Coordinator, spec RunSpec) string {
+		t.Helper()
+		info, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.API = c
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { a.Run(ctx); close(done) }()
+		final := waitTerminal(t, c, info.ID)
+		cancel()
+		<-done
+		if final.Status != RunDone {
+			t.Fatalf("run failed: %+v", final)
+		}
+		art, err := c.Artifact(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := directArtifact(t, exp, spec); !bytes.Equal(art, want) {
+			t.Fatalf("%s (seed %d): artifact differs from a direct run", info.ID, spec.Seed)
+		}
+		return info.ID
+	}
+
+	c1, _ := newTestCoordinator(t, CoordinatorOptions{Resolve: resolverFor(exp)})
+	if id := runOne(c1, RunSpec{Experiment: "synth", Seed: 4}); id != "run-0001" {
+		t.Fatalf("first run is %s", id)
+	}
+	if n := resolves.Load(); n != 1 {
+		t.Fatalf("a 4-cell run resolved %d times, want 1", n)
+	}
+	// A wiped store reuses run-0001 for another spec: the memo must not
+	// serve the first run's cells (their seed is baked into the results).
+	c2, _ := newTestCoordinator(t, CoordinatorOptions{Resolve: resolverFor(exp)})
+	if id := runOne(c2, RunSpec{Experiment: "synth", Seed: 5}); id != "run-0001" {
+		t.Fatalf("run on the wiped store is %s", id)
+	}
+	if n := resolves.Load(); n != 2 {
+		t.Fatalf("same run ID with another spec: %d resolves, want 2", n)
+	}
+	runOne(c2, RunSpec{Experiment: "synth", Seed: 5})
+	if n := resolves.Load(); n != 3 {
+		t.Fatalf("second run: %d resolves, want 3", n)
+	}
+
+	// The memoized enumeration still catches version skew.
+	rc := a.last.Load()
+	task := &LeaseTask{RunID: rc.runID, Spec: rc.spec, CellIndex: 1, CellID: "c07"}
+	if _, err := a.executeCached(context.Background(), task); err == nil || !strings.Contains(err.Error(), "version skew") {
+		t.Fatalf("cell ID mismatch: want a version-skew error, got %v", err)
+	}
+	task.CellIndex, task.CellID = 4, ""
+	if _, err := a.executeCached(context.Background(), task); err == nil || !strings.Contains(err.Error(), "no cell 4") {
+		t.Fatalf("cell index out of range: got %v", err)
+	}
+	if n := resolves.Load(); n != 3 {
+		t.Fatalf("leases of a memoized run re-resolved: %d resolves, want 3", n)
+	}
+}
+
 func TestResultCacheEviction(t *testing.T) {
 	cache := NewResultCache(2)
 	cache.Put("a", []byte("1"))

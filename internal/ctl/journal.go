@@ -12,14 +12,14 @@ import (
 
 // The coordinator's write-ahead journal.
 //
-// Run manifests are the durable source of truth, but they are rewritten
-// whole and only on result-bearing transitions; everything between two
-// saves — which agents are registered, which leases are live, how many
-// attempts a cell has consumed, that an abort was requested — used to be
-// purely in-memory and died with the process.  The journal narrows that
-// window to a single appended line per transition: the coordinator appends
-// an entry *before* mutating memory or saving the manifest, and a restart
-// replays the journal over the resumed manifests.
+// A run's manifest is written whole only at submit, at a terminal status
+// and when a restart folds the journal in.  Every transition in between —
+// a completed cell, a counted attempt, a live lease, a registered agent, a
+// requested abort — is one appended journal line: the coordinator appends
+// the entry *before* mutating memory, and a restart replays the journal
+// over the resumed manifests.  Each fact thus has one durable record while
+// the run is live.  Appends are plain writes with no fsync, so the
+// guarantee is process-crash durability, not power-loss durability.
 //
 // The format is JSON Lines (one JournalEntry per line) in
 // <data>/journal.jsonl.  Appends are O_APPEND writes of complete lines; a
@@ -30,16 +30,19 @@ import (
 // can overlap arbitrarily.  After replay the journal is compacted down to
 // the still-volatile state (registered agents, live leases).
 //
-// Journal append errors are deliberately ignored by the coordinator: the
-// manifests alone still recover everything except sub-save lease/attempt
-// state, which is exactly the pre-journal behaviour.  A broken disk
-// degrades recovery precision, never correctness.
+// A complete or fail entry is the only mid-run record of its fact, so its
+// append error fails the Complete or Fail call before memory changes.  The
+// agent, lease and abort appends are best-effort: a lost registration or
+// lease costs a re-registration or a duplicate execution after a restart,
+// and an abort also writes the failed run's manifest.  Losing the journal
+// altogether re-executes the finished cells of unfinished runs; the
+// results are the same deterministic bytes, so nothing is corrupted.
 
 // Journal operations.
 const (
 	opAgent    = "agent"    // an agent registered
 	opLease    = "lease"    // a cell was leased
-	opComplete = "complete" // a cell result was stored (pre-manifest-save)
+	opComplete = "complete" // a cell result was stored
 	opFail     = "fail"     // an attempt was counted (pre-requeue/fail)
 	opAbort    = "abort"    // a run abort was requested
 )
@@ -134,8 +137,8 @@ func (s *Store) CompactJournal(entries []JournalEntry) error {
 	return nil
 }
 
-// journal appends a write-ahead entry, best-effort (see the package note on
-// why errors are swallowed: manifests stay the source of truth).
+// journal appends a best-effort write-ahead entry: the agent, lease and
+// abort entries, whose loss a restart survives (see the package note).
 func (c *Coordinator) journal(e JournalEntry) { _ = c.store.AppendJournal(e) }
 
 // replayJournal applies the write-ahead journal over the state resume()

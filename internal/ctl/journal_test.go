@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,8 +350,12 @@ func TestResumeQuarantinesCorruptResult(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// Corrupt the first completed cell's object on disk.
-	m := runManifest(t, store, info.ID)
+	// Corrupt the first completed cell's object on disk.  Mid-run only the
+	// journal and the in-memory manifest record the cell's SHA.
+	m, err := c1.Manifest(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sha := m.Cells[0].ResultSHA
 	if sha == "" {
 		t.Fatalf("cell 0 should be done: %+v", m.Cells)
@@ -602,5 +607,250 @@ func TestJournalTornTailIsIgnored(t *testing.T) {
 		if e.Op != opAgent && e.Op != opLease {
 			t.Fatalf("compacted journal holds folded entry: %+v", e)
 		}
+	}
+}
+
+// manifestBytes reads a run's manifest file as the store wrote it.
+func manifestBytes(t *testing.T, store *Store, id string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(store.Dir(), "runs", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// assertManifestOnDisk checks that the run's manifest on disk equals the
+// coordinator's in-memory one.
+func assertManifestOnDisk(t *testing.T, c *Coordinator, store *Store, id string) {
+	t.Helper()
+	mem, err := c.Manifest(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk := runManifest(t, store, id); !reflect.DeepEqual(disk, mem) {
+		t.Fatalf("%s on disk differs from memory:\ndisk: %+v\n mem: %+v", id, disk, mem)
+	}
+}
+
+// TestJournalIsTheOnlyMidRunRecord pins the store's write contract: a
+// live run's manifest is written at submit and not rewritten by completes
+// or failures; a terminal status writes it in full; and a restart
+// recovers every completed cell from the journal alone, re-executing none.
+func TestJournalIsTheOnlyMidRunRecord(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		completed = map[string]bool{}
+		recovered atomic.Bool
+	)
+	gate := func(ctx context.Context, cell string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if recovered.Load() && completed[cell] {
+			t.Errorf("completed cell %s re-executed after restart", cell)
+		}
+		return nil
+	}
+	exp := testExperiment("synth", 4, gate)
+	opt := CoordinatorOptions{Resolve: resolverFor(exp), MaxAttempts: 3}
+	c1, store := newTestCoordinator(t, opt)
+	spec := RunSpec{Experiment: "synth", Seed: 13}
+	want := directArtifact(t, exp, spec)
+	info, err := c1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := manifestBytes(t, store, info.ID)
+
+	// Complete, fail, complete: none of them rewrites the manifest.
+	a, _ := c1.Register("a")
+	for i, fail := range []bool{false, true, false} {
+		task, err := c1.Lease(context.Background(), a, 0)
+		if err != nil || task == nil {
+			t.Fatalf("lease %d: %+v, %v", i, task, err)
+		}
+		if fail {
+			err = c1.Fail(task.LeaseID, "injected")
+		} else {
+			var res []byte
+			if res, err = ExecuteCell(context.Background(), resolverFor(exp), task); err != nil {
+				t.Fatal(err)
+			}
+			err = c1.Complete(task.LeaseID, res)
+			mu.Lock()
+			completed[task.CellID] = true
+			mu.Unlock()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := manifestBytes(t, store, info.ID); !bytes.Equal(got, submitted) {
+			t.Fatalf("step %d rewrote the live run's manifest:\n%s", i, got)
+		}
+	}
+
+	// Restart: the journal alone carries the two completes and the attempt.
+	recovered.Store(true)
+	c2 := reopenCoordinator(t, store, opt)
+	ri, err := c2.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != 2 {
+		t.Fatalf("restart recovered %d completed cells, want 2: %+v", ri.CellsDone, ri.Cells)
+	}
+	attempts := 0
+	for _, cell := range ri.Cells {
+		attempts += cell.Attempts
+	}
+	if attempts != 1 {
+		t.Fatalf("restart recovered %d attempts, want 1: %+v", attempts, ri.Cells)
+	}
+	// Replay folded the journal into the manifest.
+	assertManifestOnDisk(t, c2, store, info.ID)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wg := runAgents(ctx, c2, 2, resolverFor(exp))
+	if ri := waitTerminal(t, c2, info.ID); ri.Status != RunDone {
+		t.Fatalf("run should finish after restart: %+v", ri)
+	}
+	cancel()
+	wg.Wait()
+	assertManifestOnDisk(t, c2, store, info.ID)
+	got, err := c2.Artifact(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("artifact diverged across the restart")
+	}
+
+	// A failed run's manifest is written in full too.
+	info2, err := c2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Abort(info2.ID, "test"); err != nil {
+		t.Fatal(err)
+	}
+	assertManifestOnDisk(t, c2, store, info2.ID)
+}
+
+// breakJournal makes every journal append fail until the returned func
+// makes the journal writable again.
+func breakJournal(t *testing.T, store *Store) (restore func()) {
+	t.Helper()
+	store.jmu.Lock()
+	defer store.jmu.Unlock()
+	if store.jf == nil {
+		t.Fatal("journal not open yet")
+	}
+	store.jf.Close() // writes to the closed handle now fail
+	return func() {
+		store.jmu.Lock()
+		defer store.jmu.Unlock()
+		store.jf = nil // reopened on the next append
+	}
+}
+
+// TestJournalAppendFailureKeepsLease: with the journal unwritable,
+// Complete and Fail return the error and change nothing, an expired lease
+// is kept rather than re-queued without a record, and each call succeeds
+// once the journal is writable again.
+func TestJournalAppendFailureKeepsLease(t *testing.T) {
+	exp := testExperiment("synth", 3, nil)
+	clk := newFakeClock()
+	opt := CoordinatorOptions{Resolve: resolverFor(exp), Clock: clk.Now, LeaseTTL: 10 * time.Second}
+	c, store := newTestCoordinator(t, opt)
+	spec := RunSpec{Experiment: "synth", Seed: 17}
+	info, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.Register("a")
+	var tasks []*LeaseTask
+	for i := 0; i < 3; i++ {
+		task, err := c.Lease(context.Background(), a, 0)
+		if err != nil || task == nil {
+			t.Fatalf("lease %d: %+v, %v", i, task, err)
+		}
+		tasks = append(tasks, task)
+	}
+	res0, err := ExecuteCell(context.Background(), resolverFor(exp), tasks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := breakJournal(t, store)
+	if err := c.Complete(tasks[0].LeaseID, res0); err == nil {
+		t.Fatal("Complete succeeded without a journal record")
+	}
+	if err := c.Fail(tasks[1].LeaseID, "injected"); err == nil {
+		t.Fatal("Fail succeeded without a journal record")
+	}
+	// Every lease expires; the sweep cannot record the attempts.
+	clk.Advance(11 * time.Second)
+	c.mu.Lock()
+	c.sweepLocked(clk.Now())
+	c.mu.Unlock()
+
+	ri, err := c.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != 0 {
+		t.Fatalf("a failed Complete marked a cell done: %+v", ri)
+	}
+	for i, cell := range ri.Cells {
+		if cell.Status != CellLeased || cell.Attempts != 0 {
+			t.Fatalf("cell %d changed without a journal record: %+v", i, cell)
+		}
+	}
+	c.mu.Lock()
+	for _, task := range tasks {
+		if _, ok := c.leases[task.LeaseID]; !ok {
+			t.Errorf("lease %s dropped without a journal record", task.LeaseID)
+		}
+	}
+	c.mu.Unlock()
+
+	restore()
+	if err := c.Complete(tasks[0].LeaseID, res0); err != nil {
+		t.Fatalf("Complete retry: %v", err)
+	}
+	if err := c.Fail(tasks[1].LeaseID, "injected"); err != nil {
+		t.Fatalf("Fail retry: %v", err)
+	}
+	c.mu.Lock()
+	c.sweepLocked(clk.Now())
+	c.mu.Unlock()
+	ri, err = c.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != 1 || ri.Cells[0].Status != CellDone {
+		t.Fatalf("Complete retry did not land: %+v", ri)
+	}
+	for i := 1; i < 3; i++ {
+		if ri.Cells[i].Status != CellPending || ri.Cells[i].Attempts != 1 {
+			t.Fatalf("cell %d not re-queued with one attempt: %+v", i, ri.Cells[i])
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wg := runAgents(ctx, c, 1, resolverFor(exp))
+	if ri := waitTerminal(t, c, info.ID); ri.Status != RunDone {
+		t.Fatalf("run should finish once the journal is back: %+v", ri)
+	}
+	cancel()
+	wg.Wait()
+	got, err := c.Artifact(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directArtifact(t, exp, spec); !bytes.Equal(got, want) {
+		t.Fatal("artifact diverged after journal failures")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // per run.  Layout under the data directory:
 //
 //	objects/ab/cdef1234...   blob addressed by its SHA-256 (hex)
-//	runs/run-0001.json       RunManifest, rewritten atomically on change
+//	runs/run-0001.json       RunManifest, written atomically at submit,
+//	                         at a terminal status and at resume
 //
 // Content addressing gives three properties for free: byte-identical cell
 // results (e.g. the same cell re-executed after a lease expiry) deduplicate
@@ -26,8 +27,9 @@ import (
 // and re-queueing exactly the cells without a ResultSHA.
 //
 // Alongside the manifests lives journal.jsonl, the coordinator's
-// write-ahead journal (see journal.go): volatile queue/lease/attempt
-// transitions appended between manifest saves, replayed on restart.
+// write-ahead journal (see journal.go): every transition of a live run
+// (completed cells, attempts, leases) is appended there rather than
+// rewritten into its manifest, and replayed on restart.
 type Store struct {
 	dir string
 	// mu serialises manifest writes; object writes are naturally
