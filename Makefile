@@ -83,15 +83,14 @@ fuzz:
 	$(GO) test -run 'FuzzSpecJSON' ./internal/scenario/
 	$(GO) test -run 'FuzzAPIRequests' ./internal/ctl/
 
-# Exploratory fuzzing: each target mutates its corpus for FUZZTIME.  A
+# Exploratory fuzzing: each target mutates its corpus for 15 s.  A
 # crasher lands in the package's testdata/fuzz/<target>/; commit it, and
 # `make fuzz` replays it as a regression seed from then on.
-FUZZTIME ?= 15s
 fuzz-explore:
-	$(GO) test -run NONE -fuzz '^FuzzAPIRequests$$' -fuzztime $(FUZZTIME) ./internal/ctl/
-	$(GO) test -run NONE -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/scenario/
-	$(GO) test -run NONE -fuzz '^FuzzScheduleValidate$$' -fuzztime $(FUZZTIME) ./internal/fault/
-	$(GO) test -run NONE -fuzz '^FuzzRescaleValidate$$' -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run NONE -fuzz '^FuzzAPIRequests$$' -fuzztime 15s ./internal/ctl/
+	$(GO) test -run NONE -fuzz '^FuzzSpecJSON$$' -fuzztime 15s ./internal/scenario/
+	$(GO) test -run NONE -fuzz '^FuzzScheduleValidate$$' -fuzztime 15s ./internal/fault/
+	$(GO) test -run NONE -fuzz '^FuzzRescaleValidate$$' -fuzztime 15s ./internal/fault/
 
 # Every shipped scenario spec must parse, validate and compile.
 scenario-validate:

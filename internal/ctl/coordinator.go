@@ -522,8 +522,9 @@ func (c *Coordinator) leaseLocked(agentID string) (*LeaseTask, <-chan struct{}, 
 // the last one, assembles and stores the artifact.  The journal entry is
 // the completion's only durable record until the run's manifest is written
 // at a terminal status, so an append error fails the call before anything
-// changes: the lease stays live, and the agent's retry or the lease's
-// expiry recovers the cell.
+// changes.  The lease stays live; agents do not retry, so the cell is
+// re-queued once the lease expires, one TTL after its agent's last
+// heartbeat (a heartbeat extends every lease the agent holds).
 func (c *Coordinator) Complete(leaseID string, result []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -538,8 +539,8 @@ func (c *Coordinator) Complete(leaseID string, result []byte) error {
 	}
 	sha, err := c.store.PutObject(result)
 	if err != nil {
-		// Keep the lease: the cell stays recoverable — if the agent gives
-		// up, the TTL expires and the cell is re-queued.
+		// Keep the lease: the cell stays recoverable — once its agent
+		// stops heartbeating, the TTL expires and the cell is re-queued.
 		return err
 	}
 	// Journal after the object exists but before any memory mutation: a
@@ -584,7 +585,7 @@ func (c *Coordinator) Fail(leaseID string, reason string) error {
 // and re-queues the cell or fails the run.  The journal entry is the
 // attempt's only durable record until a terminal manifest write, so an
 // append error is returned before anything changes: the lease stays, and
-// the next Fail or sweep counts the attempt again.
+// once it expires every sweep tries to count the attempt again.
 func (c *Coordinator) retryLocked(r *run, l *lease, reason string) error {
 	idx := l.idx
 	attempts := r.m.Cells[idx].Attempts + 1

@@ -62,7 +62,10 @@ type JournalEntry struct {
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, "journal.jsonl") }
 
-// AppendJournal appends one entry to the write-ahead journal.
+// AppendJournal appends one entry to the write-ahead journal.  A failed
+// write (a full disk, say) may leave part of the line behind; it is cut
+// off again, so a later append never merges with the fragment into one
+// undecodable line that would end the journal for LoadJournal.
 func (s *Store) AppendJournal(e JournalEntry) error {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -71,15 +74,28 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 		if err != nil {
 			return fmt.Errorf("ctl: open journal: %w", err)
 		}
-		s.jf = f
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("ctl: open journal: %w", err)
+		}
+		s.jf, s.jsize = f, fi.Size()
 	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("ctl: journal entry: %w", err)
 	}
-	if _, err := s.jf.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("ctl: append journal: %w", err)
+	n, err := s.jf.Write(append(data, '\n'))
+	if err != nil {
+		err = fmt.Errorf("ctl: append journal: %w", err)
+		if terr := os.Truncate(s.journalPath(), s.jsize); terr != nil {
+			err = errors.Join(err, fmt.Errorf("ctl: cut torn journal line: %w", terr))
+		}
+		s.jf.Close()
+		s.jf = nil // reopened on the next append
+		return err
 	}
+	s.jsize += int64(n)
 	return nil
 }
 

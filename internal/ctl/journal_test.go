@@ -738,7 +738,8 @@ func TestJournalIsTheOnlyMidRunRecord(t *testing.T) {
 }
 
 // breakJournal makes every journal append fail until the returned func
-// makes the journal writable again.
+// makes the journal writable again: writes to the closed handle fail, and
+// a directory standing in for the journal file keeps it from reopening.
 func breakJournal(t *testing.T, store *Store) (restore func()) {
 	t.Helper()
 	store.jmu.Lock()
@@ -746,11 +747,116 @@ func breakJournal(t *testing.T, store *Store) (restore func()) {
 	if store.jf == nil {
 		t.Fatal("journal not open yet")
 	}
-	store.jf.Close() // writes to the closed handle now fail
+	store.jf.Close()
+	path := store.journalPath()
+	if err := os.Rename(path, path+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	return func() {
 		store.jmu.Lock()
 		defer store.jmu.Unlock()
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(path+".aside", path); err != nil {
+			t.Fatal(err)
+		}
 		store.jf = nil // reopened on the next append
+	}
+}
+
+// tearJournal makes the next journal append fail the way a write cut short
+// by a full disk does: part of a line lands in the file, then the write
+// errors.
+func tearJournal(t *testing.T, store *Store) {
+	t.Helper()
+	store.jmu.Lock()
+	defer store.jmu.Unlock()
+	if store.jf == nil {
+		t.Fatal("journal not open yet")
+	}
+	f, err := os.OpenFile(store.journalPath(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"complete","run":"`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	ro, err := os.Open(store.journalPath()) // writes to it fail
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.jf.Close()
+	store.jf = ro
+}
+
+// TestJournalTornAppendIsCut: a Complete whose journal write fails partway
+// returns the error, and the fragment is cut off, so the retried Complete
+// and every later one survive a restart instead of being swallowed by an
+// undecodable line.
+func TestJournalTornAppendIsCut(t *testing.T) {
+	exp := testExperiment("synth", 3, nil)
+	opt := CoordinatorOptions{Resolve: resolverFor(exp)}
+	c1, store := newTestCoordinator(t, opt)
+	spec := RunSpec{Experiment: "synth", Seed: 19}
+	info, err := c1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c1.Register("a")
+	var tasks []*LeaseTask
+	var results [][]byte
+	for i := 0; i < 3; i++ {
+		task, err := c1.Lease(context.Background(), a, 0)
+		if err != nil || task == nil {
+			t.Fatalf("lease %d: %+v, %v", i, task, err)
+		}
+		res, err := ExecuteCell(context.Background(), resolverFor(exp), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, results = append(tasks, task), append(results, res)
+	}
+
+	tearJournal(t, store)
+	if err := c1.Complete(tasks[0].LeaseID, results[0]); err == nil {
+		t.Fatal("Complete succeeded on a torn journal write")
+	}
+	for i := 0; i < 2; i++ {
+		if err := c1.Complete(tasks[i].LeaseID, results[i]); err != nil {
+			t.Fatalf("Complete %d after the torn write: %v", i, err)
+		}
+	}
+
+	// The third cell is still leased, so the run is live and its
+	// manifest on disk holds no completes: they come from the journal.
+	c2 := reopenCoordinator(t, store, opt)
+	ri, err := c2.Run(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.CellsDone != 2 || ri.Cells[0].Status != CellDone || ri.Cells[1].Status != CellDone {
+		t.Fatalf("restart lost completes appended after the torn write: %+v", ri.Cells)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wg := runAgents(ctx, c2, 1, resolverFor(exp))
+	if ri := waitTerminal(t, c2, info.ID); ri.Status != RunDone {
+		t.Fatalf("run should finish after restart: %+v", ri)
+	}
+	cancel()
+	wg.Wait()
+	got, err := c2.Artifact(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directArtifact(t, exp, spec); !bytes.Equal(got, want) {
+		t.Fatal("artifact diverged across the torn write")
 	}
 }
 

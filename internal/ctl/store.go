@@ -36,9 +36,10 @@ type Store struct {
 	// idempotent (same SHA, same bytes) and need no lock.
 	mu sync.Mutex
 	// jmu serialises journal appends; jf is the lazily-opened append
-	// handle.
-	jmu sync.Mutex
-	jf  *os.File
+	// handle and jsize the journal's length after the last whole line.
+	jmu   sync.Mutex
+	jf    *os.File
+	jsize int64
 }
 
 // NewStore opens (creating if needed) a store rooted at dir.
