@@ -6,7 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // re-derives the whole evaluation.  Absolute numbers come from the
-// calibrated simulation substrate (see DESIGN.md §2); the shapes — who
+// calibrated simulation substrate (capacity laws fitted to the paper's
+// Tables I and III, see internal/engine); the shapes — who
 // wins, by what factor, where the crossovers fall — are asserted in
 // internal/core's tests and recorded against the paper in EXPERIMENTS.md.
 //

@@ -201,9 +201,9 @@ Generated by %s (scale=%s, seed=%d).
 This file records, for every table and figure of "Benchmarking Distributed
 Stream Data Processing Systems" (Karimov et al., ICDE 2018), what this
 reproduction measures next to what the paper reports.  The substrate is a
-calibrated simulation (see DESIGN.md §2), so the comparison targets are
-*shape and ordering*: who wins, by roughly what factor, where crossovers
-and failure modes appear.  Sustainable-throughput anchors are calibrated
+calibrated simulation (capacity laws fitted to Tables I and III), so the
+comparison targets are *shape and ordering*: who wins, by roughly what
+factor, where crossovers and failure modes appear.  Sustainable-throughput anchors are calibrated
 (fitted capacity laws), so their agreement is by construction; everything
 else — latency distributions, fluctuation patterns, failure modes,
 crossovers — emerges from the modelled mechanisms and is genuine

@@ -1,7 +1,7 @@
 // Package core is the public facade of the benchmark framework: it ties
 // the driver, workloads, engine models and report formatting into a
 // registry of named experiments, one per table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index).
+// evaluation (`sdpsbench -list` prints the index).
 //
 // The same registry backs cmd/sdpsbench and the benchmark targets in
 // bench_test.go, so `sdpsbench -exp table1` and

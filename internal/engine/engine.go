@@ -11,7 +11,9 @@
 // of its measured behaviour — micro-batch scheduling and blocking stages in
 // Spark, immature bang-bang backpressure and fully-buffered windows in
 // Storm, operator chaining, incremental aggregation and credit-based flow
-// control in Flink.  See DESIGN.md §2 for the substitution argument.
+// control in Flink.  The substitution rests on two things: those
+// mechanisms, and capacity laws fitted to the paper's measured sustainable
+// throughputs (Tables I and III; see each model's calibration constants).
 package engine
 
 import (

@@ -104,8 +104,8 @@ func (e *Engine) Rescale() fault.Rescale {
 }
 
 // Calibration constants.  Capacity laws are in real events/second; see
-// engine.CapacityLaw for the functional form and DESIGN.md §5 for the
-// anchor values from Tables I/III.
+// engine.CapacityLaw for the functional form.  Each comment names the
+// paper measurement (Tables I/III, Experiment 4) its value is fitted to.
 var (
 	// aggCPULaw sits above the fabric cap at every tested size: Flink's
 	// chained, incremental aggregation pipeline is never the bottleneck.

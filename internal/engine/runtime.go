@@ -61,9 +61,8 @@ type Runtime struct {
 	// events are valid until the next Pull.
 	pullBatch *tuple.Batch
 
-	// faultBuf is the reusable per-worker capacity vector for schedules
-	// with per-worker fault kinds (fault.Schedule.ScaleVec); legacy
-	// schedules never touch it.
+	// faultBuf is the reusable per-worker capacity vector that
+	// fault.Schedule.Scale fills on every faulted pull.
 	faultBuf []float64
 
 	// rescaleBase is the worker count before the plan's first step,
@@ -210,12 +209,12 @@ func (rt *Runtime) Pull(n int, now sim.Time) (*tuple.Batch, int64) {
 	// Fault injection happens here and only here: every engine model's
 	// ingestion funnels through Pull, so scaling the budget by the
 	// schedule's capacity factor models every fault kind uniformly across
-	// engines (see internal/fault).  Legacy schedules (kills and stalls)
-	// take the scalar path inside ScaleVec, bit-identical to pre-vector
-	// builds; per-worker schedules evaluate the capacity vector under
-	// this deployment's engine recovery model.
+	// engines (see internal/fault).  Every schedule evaluates one way:
+	// the per-worker capacity vector over the workers in service, under
+	// this deployment's engine recovery model, scales the budget by its
+	// mean.
 	if s := rt.Cfg.Faults; !s.Empty() {
-		n, rt.faultBuf = s.ScaleVec(n, now, rt.Cfg.Cluster.Workers(), rt.Recovery, rt.faultBuf)
+		n, rt.faultBuf = s.Scale(n, now, rt.Cfg.Cluster.Workers(), rt.Recovery, rt.faultBuf)
 	}
 	// Mid-transition rescale stall: composes multiplicatively with the
 	// fault factor above.  rescaleFactor is pinned to 1 outside transition

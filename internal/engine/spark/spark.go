@@ -101,7 +101,8 @@ func (e *Engine) Rescale() fault.Rescale {
 	}
 }
 
-// Calibration constants (see DESIGN.md §5).
+// Calibration constants: each comment names the paper measurement its
+// value is fitted to.
 var (
 	// Sustainable-throughput laws fitted exactly through Tables I/III.
 	aggSustainLaw  = engine.FitThroughPoints(0.38e6, 0.64e6, 0.91e6)

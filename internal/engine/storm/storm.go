@@ -105,7 +105,8 @@ func (e *Engine) Rescale() fault.Rescale {
 	}
 }
 
-// Calibration constants (see DESIGN.md §5).
+// Calibration constants: each comment names the paper measurement its
+// value is fitted to.
 var (
 	// aggSustainLaw is fitted exactly through Table I: 0.40/0.69/0.99M.
 	aggSustainLaw = engine.FitThroughPoints(0.40e6, 0.69e6, 0.99e6)

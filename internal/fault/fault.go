@@ -13,18 +13,19 @@
 // The injection point is the engine runtime's source pull (engine.Runtime
 // .Pull): every engine model converts its capacity law into a per-tick tuple
 // budget and pulls that many tuples from the driver queues, so scaling the
-// pull budget by the schedule's capacity factor models every fault kind
-// without touching any engine model.  The legacy kinds (kill-worker, stall)
-// evaluate as a cluster scalar; the per-worker kinds (partition,
-// slow-worker, checkpoint-restore) evaluate as a per-worker capacity vector
-// (Factors) whose mean scales the budget.  Input keeps arriving at the
-// offered rate throughout, so the backlog that accumulates during the fault
-// — and the time the SUT takes to drain it afterwards — is the measured
-// recovery behaviour (scenario measure kind "recovery-series").
+// pull budget by the schedule's capacity models every fault kind without
+// touching any engine model.  Every kind evaluates the same way: each
+// event has one active window (Event.active), the active events fold into
+// a per-worker capacity vector over the workers in service (Factors), and
+// Scale multiplies the budget by the vector's mean.  Input keeps arriving
+// at the offered rate throughout, so the backlog that accumulates during
+// the fault — and the time the SUT takes to drain it afterwards — is the
+// measured recovery behaviour (scenario measure kind "recovery-series").
 package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -108,18 +109,22 @@ func (r Recovery) Restore(down time.Duration) time.Duration {
 	if down <= 0 {
 		return 0
 	}
+	f := 0.0
 	switch r.Kind {
 	case RecoveryCheckpoint:
 		return r.RestoreCost + r.CheckpointInterval/2
 	case RecoveryLineage:
-		return time.Duration(float64(down) * r.RecomputeFactor)
+		f = float64(down) * r.RecomputeFactor
 	case RecoveryReplay:
+		f = float64(down)
 		if r.ReplayRate > 0 {
-			return time.Duration(float64(down) / r.ReplayRate)
+			f /= r.ReplayRate
 		}
-		return down
 	}
-	return 0
+	if f >= float64(maxDuration) {
+		return maxDuration
+	}
+	return time.Duration(f)
 }
 
 // Event is one scheduled fault.
@@ -150,27 +155,41 @@ type Event struct {
 	Domain string `json:"domain,omitempty"`
 }
 
+// maxDuration is the latest virtual time.  Window ends saturate here
+// instead of wrapping negative, so a valid event whose for or
+// restart_after is near the largest Duration lasts the whole run.
+const maxDuration = time.Duration(math.MaxInt64)
+
+// addSat returns a+b for a >= 0, saturating at maxDuration.
+func addSat(a, b time.Duration) time.Duration {
+	if a > 0 && b > maxDuration-a {
+		return maxDuration
+	}
+	return a + b
+}
+
 // End returns the virtual time the event's direct effect ends: restart for
 // a kill or checkpoint-restore (runEnd for a kill that never restarts),
-// heal for a partition (runEnd when it never heals), expiry for a stall or
-// slow-worker window.  A checkpoint-restore's restore tail extends past
-// End by Recovery.Restore(RestartAfter).
+// heal for a partition or domain outage (runEnd when it never heals),
+// expiry for a stall or slow-worker window.  A checkpoint-restore's
+// restore tail extends past End by Recovery.Restore(RestartAfter).  The
+// sum saturates at the largest Duration.
 func (e Event) End(runEnd time.Duration) time.Duration {
 	switch e.Kind {
 	case KindKillWorker:
 		if e.RestartAfter <= 0 {
 			return runEnd
 		}
-		return e.At + e.RestartAfter
+		return addSat(e.At, e.RestartAfter)
 	case KindCheckpointRestore:
-		return e.At + e.RestartAfter
+		return addSat(e.At, e.RestartAfter)
 	case KindStall, KindSlowWorker:
-		return e.At + e.For
+		return addSat(e.At, e.For)
 	case KindPartition, KindDomainOutage:
 		if e.For <= 0 {
 			return runEnd
 		}
-		return e.At + e.For
+		return addSat(e.At, e.For)
 	}
 	return e.At
 }
@@ -190,24 +209,22 @@ func (e Event) Permanent() bool {
 	return false
 }
 
-// active reports whether the event affects capacity at instant now
-// (checkpoint-restore excludes its model-dependent restore tail, which
-// only Factors can evaluate).
-func (e Event) active(now time.Duration) bool {
+// active reports whether the event affects capacity at instant now under
+// the recovery model rec.  This is every kind's one window: [At, End), or
+// from At on when Permanent, with a checkpoint-restore's End extended by
+// its restore tail.
+func (e *Event) active(now time.Duration, rec Recovery) bool {
 	if now < e.At {
 		return false
 	}
-	switch e.Kind {
-	case KindKillWorker:
-		return e.RestartAfter <= 0 || now < e.At+e.RestartAfter
-	case KindCheckpointRestore:
-		return now < e.At+e.RestartAfter
-	case KindStall, KindSlowWorker:
-		return now < e.At+e.For
-	case KindPartition, KindDomainOutage:
-		return e.For <= 0 || now < e.At+e.For
+	if e.Permanent() {
+		return true
 	}
-	return false
+	end := e.End(0)
+	if e.Kind == KindCheckpointRestore {
+		end = addSat(end, rec.Restore(e.RestartAfter))
+	}
+	return now < end
 }
 
 // Schedule is a deterministic fault schedule: the full list of faults one
@@ -295,12 +312,19 @@ func (s *Schedule) Validate(workers int) error {
 			if e.For != 0 || e.Factor != 0 {
 				return fmt.Errorf("%s: for/factor apply to %q faults only", where, KindStall)
 			}
-		case KindPartition:
-			if len(e.Groups) < 2 {
+		case KindPartition, KindDomainOutage:
+			if e.Kind == KindDomainOutage {
+				if e.Domain == "" {
+					return fmt.Errorf("%s: a domain outage needs a domain name", where)
+				}
+				if _, ok := s.Domains[e.Domain]; !ok {
+					return fmt.Errorf("%s: domain %q is not declared in the domains block", where, e.Domain)
+				}
+			} else if len(e.Groups) < 2 {
 				return fmt.Errorf("%s: a partition needs at least 2 groups", where)
 			}
 			seen := map[int]bool{}
-			for gi, g := range e.Groups {
+			for gi, g := range e.Groups { // nil for a domain outage
 				if len(g) == 0 {
 					return fmt.Errorf("%s: group %d is empty", where, gi)
 				}
@@ -316,22 +340,6 @@ func (s *Schedule) Validate(workers int) error {
 					}
 					seen[w] = true
 				}
-			}
-			if e.For < 0 {
-				return fmt.Errorf("%s: for must be >= 0 (0 = never heals), got %v", where, e.For)
-			}
-			if e.Factor < 0 || e.Factor >= 1 {
-				return fmt.Errorf("%s: factor must be in [0,1), got %v", where, e.Factor)
-			}
-			if e.Worker != 0 || e.RestartAfter != 0 {
-				return fmt.Errorf("%s: worker/restart_after apply to %q faults only", where, KindKillWorker)
-			}
-		case KindDomainOutage:
-			if e.Domain == "" {
-				return fmt.Errorf("%s: a domain outage needs a domain name", where)
-			}
-			if _, ok := s.Domains[e.Domain]; !ok {
-				return fmt.Errorf("%s: domain %q is not declared in the domains block", where, e.Domain)
 			}
 			if e.For < 0 {
 				return fmt.Errorf("%s: for must be >= 0 (0 = never heals), got %v", where, e.For)
@@ -391,24 +399,6 @@ func (s *Schedule) validateDomains(workers int) error {
 // Empty reports whether the schedule injects nothing.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
 
-// PerWorker reports whether the schedule needs the per-worker factor
-// vector: it contains at least one partition, slow-worker or
-// checkpoint-restore event.  Legacy schedules (kills and stalls only)
-// evaluate through the scalar Factor path, bit-identical to pre-vector
-// builds.
-func (s *Schedule) PerWorker() bool {
-	if s == nil {
-		return false
-	}
-	for i := range s.Events {
-		switch s.Events[i].Kind {
-		case KindPartition, KindSlowWorker, KindCheckpointRestore, KindDomainOutage:
-			return true
-		}
-	}
-	return false
-}
-
 // majorityGroup returns the index of the partition side that keeps its
 // capacity: the largest group, ties resolved to the first listed.
 func majorityGroup(groups [][]int) int {
@@ -421,14 +411,16 @@ func majorityGroup(groups [][]int) int {
 	return maj
 }
 
-// Factors fills out with each worker's capacity factor at instant now, in
-// [0, 1] per worker, and returns it (grown when cap(out) < workers, so a
-// caller-held buffer is reused allocation-free in steady state).  rec is
-// the deployment's engine recovery model; it only affects
-// checkpoint-restore events, whose restore tail keeps the restarted
-// worker at zero capacity for rec.Restore(RestartAfter).  Effects compose
-// multiplicatively per worker; a worker killed by overlapping events is
-// simply down (0×0 = 0).  A nil or empty schedule yields all ones.
+// Factors fills out with the capacity factor of each of the workers in
+// service at instant now, in [0, 1] per worker, and returns it (grown when
+// cap(out) < workers, so a caller-held buffer is reused allocation-free in
+// steady state).  Events aimed at a worker index >= workers target a
+// worker that is not in service and change nothing.  rec is the
+// deployment's engine recovery model; it only affects checkpoint-restore
+// events, whose restore tail keeps the restarted worker at zero capacity
+// for rec.Restore(RestartAfter).  Effects compose multiplicatively per
+// worker; a worker killed by overlapping events is simply down (0×0 = 0).
+// A nil or empty schedule yields all ones.
 func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []float64) []float64 {
 	if workers < 0 {
 		workers = 0
@@ -445,15 +437,8 @@ func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []f
 	}
 	for i := range s.Events {
 		e := &s.Events[i]
-		if !e.active(now) {
-			// A checkpoint-restore's restore tail extends past active().
-			if e.Kind != KindCheckpointRestore {
-				continue
-			}
-			restart := e.At + e.RestartAfter
-			if now < e.At || now >= restart+rec.Restore(e.RestartAfter) {
-				continue
-			}
+		if !e.active(now, rec) {
+			continue
 		}
 		switch e.Kind {
 		case KindKillWorker, KindCheckpointRestore:
@@ -491,87 +476,15 @@ func (s *Schedule) Factors(now time.Duration, workers int, rec Recovery, out []f
 	return out
 }
 
-// Factor returns the cluster's capacity multiplier at instant now, in
-// [0, 1].  For legacy schedules (kills and stalls only) it is the
-// surviving-worker share times every active stall's factor, computed
-// exactly as pre-vector builds did; killing the same worker twice in
-// overlapping windows counts it down once.  For per-worker schedules it is
-// the mean of Factors under an instant recovery model (engine-specific
-// restore tails need Factors with the deployment's Recovery).  A nil or
-// empty schedule always returns 1.
-func (s *Schedule) Factor(now time.Duration, workers int) float64 {
-	if s == nil || len(s.Events) == 0 {
-		return 1
-	}
-	if workers > 0 && s.PerWorker() {
-		out := s.Factors(now, workers, Recovery{}, nil)
-		sum := 0.0
-		for _, v := range out {
-			sum += v
-		}
-		return sum / float64(workers)
-	}
-	f := 1.0
-	down := 0
-	for i := range s.Events {
-		e := &s.Events[i]
-		if !e.active(now) {
-			continue
-		}
-		switch e.Kind {
-		case KindKillWorker:
-			if !s.killedBefore(i, now) {
-				down++
-			}
-		case KindStall:
-			f *= e.Factor
-		}
-	}
-	if down > 0 && workers > 0 {
-		down = min(down, workers)
-		f *= float64(workers-down) / float64(workers)
-	}
-	return f
-}
-
-// killedBefore reports whether an event before index i kills the same
-// worker as event i and is active at now, so Factor counts each down
-// worker once whatever its index.
-func (s *Schedule) killedBefore(i int, now time.Duration) bool {
-	for j := range s.Events[:i] {
-		e := &s.Events[j]
-		if e.Kind == KindKillWorker && e.Worker == s.Events[i].Worker && e.active(now) {
-			return true
-		}
-	}
-	return false
-}
-
-// Scale applies the capacity factor at now to a tuple budget, flooring the
-// result (a partially-alive cluster never pulls more than its share).
-func (s *Schedule) Scale(n int, now time.Duration, workers int) int {
-	if s == nil || len(s.Events) == 0 || n <= 0 {
-		return n
-	}
-	f := s.Factor(now, workers)
-	if f >= 1 {
-		return n
-	}
-	return int(float64(n) * f)
-}
-
-// ScaleVec is Scale with the per-worker topology threaded through: for
-// legacy schedules it is exactly Scale (bit-identical to pre-vector
-// builds), for per-worker schedules it fills buf with Factors under the
-// deployment's recovery model and scales the budget by the vector's mean.
-// It returns the scaled budget and the (possibly grown) buffer, so the
-// engine runtime's hot path stays allocation-free.
-func (s *Schedule) ScaleVec(n int, now time.Duration, workers int, rec Recovery, buf []float64) (int, []float64) {
-	if s == nil || len(s.Events) == 0 || n <= 0 {
+// Scale applies the schedule at now to a tuple budget: it fills buf with
+// Factors over the workers in service under the deployment's recovery
+// model and multiplies n by the vector's mean, flooring the result (a
+// partially-alive cluster never pulls more than its share).  It returns
+// the scaled budget and the (possibly grown) buffer, so the engine
+// runtime's hot path stays allocation-free.
+func (s *Schedule) Scale(n int, now time.Duration, workers int, rec Recovery, buf []float64) (int, []float64) {
+	if s == nil || len(s.Events) == 0 || n <= 0 || workers <= 0 {
 		return n, buf
-	}
-	if workers <= 0 || !s.PerWorker() {
-		return s.Scale(n, now, workers), buf
 	}
 	buf = s.Factors(now, workers, rec, buf)
 	sum := 0.0

@@ -27,6 +27,7 @@ func FuzzScheduleValidate(f *testing.F) {
 		`{}`,
 		`[]`,
 		`{"events":[{"kind":"stall","at":9223372036854775807,"for":9223372036854775807}]}`,
+		`{"events":[{"kind":"stall","at":1000000000,"for":9223372036854775807,"factor":0.5}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -43,18 +44,15 @@ func FuzzScheduleValidate(f *testing.F) {
 		}
 		var buf []float64
 		for _, now := range []time.Duration{0, time.Second, 30 * time.Second, time.Hour} {
-			f := s.Factor(now, workers)
-			if f < 0 || f > 1 || f != f {
-				t.Fatalf("Factor(%v) = %v out of [0,1] for valid schedule %s", now, f, data)
-			}
 			buf = s.Factors(now, workers, rec, buf)
 			for w, v := range buf {
 				if v < 0 || v > 1 || v != v {
 					t.Fatalf("Factors(%v)[%d] = %v out of [0,1] for valid schedule %s", now, w, v, data)
 				}
 			}
-			if n, _ := s.ScaleVec(1000, now, workers, rec, buf); n < 0 || n > 1000 {
-				t.Fatalf("ScaleVec(1000, %v) = %d out of range for valid schedule %s", now, n, data)
+			var n int
+			if n, buf = s.Scale(1000, now, workers, rec, buf); n < 0 || n > 1000 {
+				t.Fatalf("Scale(1000, %v) = %d out of range for valid schedule %s", now, n, data)
 			}
 		}
 	})

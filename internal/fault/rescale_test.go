@@ -163,9 +163,6 @@ func TestDomainOutageFactorsAndPermanence(t *testing.T) {
 	if err := s.Validate(6); err != nil {
 		t.Fatalf("domain schedule rejected: %v", err)
 	}
-	if !s.PerWorker() {
-		t.Fatal("a domain outage is a per-worker schedule")
-	}
 	f := s.Factors(34*time.Second, 6, Recovery{}, nil)
 	want := []float64{1, 1, 1, 1, 0, 0}
 	for i, v := range f {
@@ -291,10 +288,9 @@ func TestFaultLocatorsNameIndexAndKind(t *testing.T) {
 // TestRescaleFaultCompositionProperties is the randomized property test:
 // across seeded random schedules, domain maps and rescale plans, (a) every
 // per-worker factor stays in [0, 1], (b) evaluation is deterministic — the
-// same virtual instant always yields the same vector, (c) legacy kill/stall
-// schedules evaluate through ScaleVec bit-identically to the scalar Scale
-// path, and (d) a rescale-free plan is invisible: ActiveAt returns the base
-// worker count with no capacity stall.
+// same virtual instant always yields the same vector, (c) the composed
+// budget stays within the offered budget, and (d) a rescale-free plan is
+// invisible: ActiveAt returns the base worker count with no capacity stall.
 func TestRescaleFaultCompositionProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xe1a571c))
 	models := []Rescale{
@@ -401,7 +397,8 @@ func TestRescaleFaultCompositionProperties(t *testing.T) {
 				t.Fatalf("trial %d: ActiveAt(%v) not deterministic", trial, now)
 			}
 			// The composed budget never exceeds the offered budget.
-			n, _ := sched.ScaleVec(10000, now, workers, rec, buf)
+			var n int
+			n, buf = sched.Scale(10000, now, workers, rec, buf)
 			if factor < 1 && n > 0 {
 				n = int(float64(n) * factor)
 			}
@@ -410,32 +407,12 @@ func TestRescaleFaultCompositionProperties(t *testing.T) {
 			}
 		}
 
-		// Legacy equivalence: kills and stalls only, no domains, no plan.
-		legacy := &Schedule{}
-		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-			if rng.Intn(2) == 0 {
-				legacy.Events = append(legacy.Events, Event{
-					Kind: KindKillWorker, Worker: rng.Intn(base),
-					At: time.Duration(rng.Intn(60)) * time.Second,
-				})
-			} else {
-				legacy.Events = append(legacy.Events, Event{
-					Kind: KindStall, At: time.Duration(rng.Intn(60)) * time.Second,
-					For: time.Duration(1+rng.Intn(20)) * time.Second, Factor: rng.Float64() * 0.99,
-				})
-			}
-		}
 		var none *RescalePlan
 		for probe := 0; probe < 8; probe++ {
 			now := time.Duration(rng.Intn(90)) * time.Second
 			w, f := none.ActiveAt(now, base, model)
 			if w != base || f != 1 {
 				t.Fatalf("trial %d: rescale-free ActiveAt = (%d, %v), want (%d, 1)", trial, w, f, base)
-			}
-			budget := 1 + rng.Intn(10000)
-			vec, _ := legacy.ScaleVec(budget, now, base, rec, buf)
-			if scalar := legacy.Scale(budget, now, base); vec != scalar {
-				t.Fatalf("trial %d: legacy ScaleVec = %d, Scale = %d — scalar path must be bit-identical", trial, vec, scalar)
 			}
 		}
 	}

@@ -27,9 +27,6 @@ func TestPartitionMinorityLosesCapacity(t *testing.T) {
 	if err := s.Validate(4); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if !s.PerWorker() {
-		t.Fatal("a partition schedule must be PerWorker")
-	}
 	before := factorsAt(t, s, 9*time.Second, 4, Recovery{})
 	for w, f := range before {
 		if f != 1 {
@@ -49,9 +46,9 @@ func TestPartitionMinorityLosesCapacity(t *testing.T) {
 			t.Fatalf("worker %d factor after heal = %v, want 1", w, f)
 		}
 	}
-	// Cluster-mean scalar view.
-	if got := s.Factor(12*time.Second, 4); got != 0.75 {
-		t.Fatalf("Factor during partition = %v, want 0.75", got)
+	// The budget scales by the vector's mean.
+	if got, _ := s.Scale(1000, 12*time.Second, 4, Recovery{}, nil); got != 750 {
+		t.Fatalf("Scale(1000) during partition = %d, want 750", got)
 	}
 	if got := s.Events[0].End(0); got != 18*time.Second {
 		t.Fatalf("End of healing partition = %v, want 18s", got)
@@ -241,23 +238,6 @@ func TestNewKindValidateRejections(t *testing.T) {
 	}
 }
 
-func TestScaleVecLegacyPathIsExactlyScale(t *testing.T) {
-	s := &Schedule{Events: []Event{
-		{Kind: KindKillWorker, Worker: 1, At: 30 * time.Second, RestartAfter: 10 * time.Second},
-		{Kind: KindStall, At: 55 * time.Second, For: 5 * time.Second, Factor: 0.25},
-	}}
-	rec := Recovery{Kind: RecoveryCheckpoint, CheckpointInterval: 10 * time.Second}
-	for now := time.Duration(0); now <= 70*time.Second; now += 500 * time.Millisecond {
-		for _, n := range []int{0, 1, 7, 100, 12345} {
-			want := s.Scale(n, now, 4)
-			got, _ := s.ScaleVec(n, now, 4, rec, nil)
-			if got != want {
-				t.Fatalf("ScaleVec(%d, %v) = %d, want Scale's %d on a legacy-only schedule", n, now, got, want)
-			}
-		}
-	}
-}
-
 func TestFactorsBufferReuse(t *testing.T) {
 	s := &Schedule{Events: []Event{{
 		Kind: KindSlowWorker, Worker: 0, At: 0, For: time.Second, Factor: 0.5,
@@ -277,13 +257,10 @@ func TestFactorsBufferReuse(t *testing.T) {
 // randomSchedule builds a mixed-kind schedule from a seeded source; used by
 // the composition property test below.  Every event it emits passes
 // Validate(workers).
-func randomSchedule(r *rand.Rand, workers int, legacyOnly bool) *Schedule {
+func randomSchedule(r *rand.Rand, workers int) *Schedule {
 	n := 1 + r.Intn(6)
 	evs := make([]Event, 0, n)
 	kinds := []string{KindKillWorker, KindStall, KindPartition, KindSlowWorker, KindCheckpointRestore}
-	if legacyOnly {
-		kinds = kinds[:2]
-	}
 	for i := 0; i < n; i++ {
 		at := time.Duration(r.Intn(60)) * time.Second
 		switch kinds[r.Intn(len(kinds))] {
@@ -314,22 +291,20 @@ func randomSchedule(r *rand.Rand, workers int, legacyOnly bool) *Schedule {
 
 // TestFactorsCompositionProperties is the randomized fault-composition
 // property test: for arbitrary overlapping schedules mixing every kind,
-// Factors must be deterministic, bounded to [0,1] per worker, and — on
-// schedules that only use the legacy kinds — exactly consistent with the
-// scalar Factor (and therefore with every pre-vector golden).
+// Factors must be deterministic and bounded to [0,1] per worker, and
+// Scale must keep the budget within [0, n].
 func TestFactorsCompositionProperties(t *testing.T) {
 	rec := Recovery{Kind: RecoveryLineage, RecomputeFactor: 0.6}
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		workers := 2 + r.Intn(7)
-		s := randomSchedule(r, workers, false)
+		s := randomSchedule(r, workers)
 		if err := s.Validate(workers); err != nil {
 			t.Fatalf("seed %d: generated schedule invalid: %v", seed, err)
 		}
 		for now := time.Duration(0); now <= 90*time.Second; now += 1300 * time.Millisecond {
 			a := s.Factors(now, workers, rec, nil)
 			b := s.Factors(now, workers, rec, nil)
-			mean := 0.0
 			for w := range a {
 				if a[w] != b[w] {
 					t.Fatalf("seed %d: Factors not deterministic at %v: %v vs %v", seed, now, a, b)
@@ -337,48 +312,9 @@ func TestFactorsCompositionProperties(t *testing.T) {
 				if a[w] < 0 || a[w] > 1 || math.IsNaN(a[w]) {
 					t.Fatalf("seed %d: worker %d factor %v out of [0,1] at %v", seed, w, a[w], now)
 				}
-				mean += a[w]
 			}
-			mean /= float64(workers)
-			// The scalar view of a per-worker schedule is the vector mean
-			// under instant recovery.
-			inst := s.Factors(now, workers, Recovery{}, nil)
-			instMean := 0.0
-			for _, v := range inst {
-				instMean += v
-			}
-			instMean /= float64(workers)
-			if f := s.Factor(now, workers); math.Abs(f-instMean) > 1e-12 {
-				t.Fatalf("seed %d: Factor=%v disagrees with instant-recovery vector mean %v at %v", seed, f, instMean, now)
-			}
-			_ = mean
-		}
-	}
-	// Legacy-only schedules: the vector mean must agree with the old
-	// closed-form scalar to the last bit on the Scale path.
-	for seed := int64(100); seed < 140; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		workers := 2 + r.Intn(7)
-		s := randomSchedule(r, workers, true)
-		if s.PerWorker() {
-			t.Fatalf("seed %d: legacy generator emitted a per-worker kind", seed)
-		}
-		for now := time.Duration(0); now <= 90*time.Second; now += 1700 * time.Millisecond {
-			want := s.Scale(1_000_003, now, workers)
-			got, _ := s.ScaleVec(1_000_003, now, workers, rec, nil)
-			if got != want {
-				t.Fatalf("seed %d: legacy ScaleVec=%d != Scale=%d at %v", seed, got, want, now)
-			}
-			// And the vector mean approximates the scalar closely (kills
-			// compose as a count in the scalar but multiplicatively per
-			// worker in the vector; on legacy schedules these coincide).
-			out := s.Factors(now, workers, Recovery{}, nil)
-			sum := 0.0
-			for _, v := range out {
-				sum += v
-			}
-			if f := s.Factor(now, workers); math.Abs(f-sum/float64(workers)) > 1e-9 {
-				t.Fatalf("seed %d: legacy vector mean %v vs scalar %v at %v", seed, sum/float64(workers), f, now)
+			if n, _ := s.Scale(1_000_003, now, workers, rec, nil); n < 0 || n > 1_000_003 {
+				t.Fatalf("seed %d: Scale(1000003, %v) = %d out of range", seed, now, n)
 			}
 		}
 	}
