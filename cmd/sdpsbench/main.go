@@ -9,7 +9,7 @@
 //	sdpsbench -exp table1 -json            # canonical artifact encoding
 //	sdpsbench -exp fig9 -scale full -csv out/
 //	sdpsbench -all -scale quick
-//	sdpsbench -scenario examples/scenarios/skew-sweep.json
+//	sdpsbench -scenario examples/scenarios/skew-throughput.json
 //	sdpsbench -scenario-validate examples/scenarios/*.json
 //
 // -json prints the same canonical artifact bytes the distributed

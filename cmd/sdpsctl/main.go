@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sdpsctl submit table1 --scale quick --seed 42 --watch
-//	sdpsctl submit --scenario examples/scenarios/skew-sweep.json --watch
+//	sdpsctl submit --scenario examples/scenarios/skew-throughput.json --watch
 //	sdpsctl submit table1 --replicate 5
 //	sdpsctl status [run-0001]
 //	sdpsctl watch run-0001

@@ -16,6 +16,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/ideal"
 	"repro/internal/engine/spark"
 	"repro/internal/engine/storm"
 	"repro/internal/metrics"
@@ -217,8 +218,10 @@ func EngineByName(name string) (engine.Engine, error) {
 		return spark.New(spark.Options{}), nil
 	case "flink":
 		return flink.New(flink.Options{}), nil
+	case "ideal":
+		return ideal.New(), nil
 	default:
-		return nil, fmt.Errorf("core: unknown engine %q (storm, spark, flink)", name)
+		return nil, fmt.Errorf("core: unknown engine %q (storm, spark, flink, ideal)", name)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEngineByName(t *testing.T) {
-	for _, n := range []string{"storm", "spark", "flink"} {
+	for _, n := range []string{"storm", "spark", "flink", "ideal"} {
 		e, err := EngineByName(n)
 		if err != nil || e.Name() != n {
 			t.Fatalf("EngineByName(%q): %v", n, err)

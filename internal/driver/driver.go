@@ -213,14 +213,6 @@ type Result struct {
 	Verdict metrics.SustainabilityVerdict
 }
 
-// OfferedRate returns the average offered rate over the run in events/s.
-func (r *Result) OfferedRate() float64 {
-	if r.Config.RunFor <= 0 {
-		return 0
-	}
-	return float64(r.Generated) / r.Config.RunFor.Seconds()
-}
-
 // runEndHook, when non-nil, is called once per run after the simulation
 // has stopped, with the run's generator, its generator-side queues, the
 // broker (nil without one) and the queues the SUT drains (the generator
@@ -479,7 +471,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 	return res, nil
 }
 
-// SearchConfig tunes FindSustainable.
+// SearchConfig tunes FindSustainableContext.
 type SearchConfig struct {
 	// Lo and Hi bracket the search in events/second.  Hi should exceed
 	// any plausible capacity ("we run each of the systems with a very
@@ -556,16 +548,11 @@ func (s SearchConfig) WithDefaults() SearchConfig {
 	return s
 }
 
-// FindSustainable bisects for the maximum sustainable throughput
+// FindSustainableContext bisects for the maximum sustainable throughput
 // (Definition 5) of the deployment described by base.  base.Rate is
 // ignored; each probe runs at a constant candidate rate.  It returns the
-// highest rate judged sustainable and that rate's full Result.
-func FindSustainable(eng engine.Engine, base Config, scfg SearchConfig) (float64, *Result, error) {
-	return FindSustainableContext(context.Background(), eng, base, scfg)
-}
-
-// FindSustainableContext is FindSustainable with cancellation; a cancelled
-// ctx aborts the bisection mid-probe.
+// highest rate judged sustainable and that rate's full Result.  A
+// cancelled ctx aborts the bisection mid-probe.
 //
 // The bisection is speculative (DESIGN-PERF.md §6): each round launches the
 // probes of the next few bracket-update steps — the midpoint plus both

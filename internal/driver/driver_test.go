@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func TestRunProducesCompleteResult(t *testing.T) {
 		t.Fatalf("0.4M ev/s must be sustainable on flink: %+v", res.Verdict)
 	}
 	// Offered rate accounting.
-	if r := res.OfferedRate(); r < 0.39e6 || r > 0.41e6 {
+	if r := float64(res.Generated) / res.Config.RunFor.Seconds(); r < 0.39e6 || r > 0.41e6 {
 		t.Fatalf("offered rate: %v", r)
 	}
 }
@@ -148,7 +149,7 @@ func TestWarmupExcludedFromHistograms(t *testing.T) {
 }
 
 func TestFindSustainableFlinkHitsNetworkBound(t *testing.T) {
-	rate, res, err := FindSustainable(flink.New(flink.Options{}), Config{
+	rate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), Config{
 		Seed: 42, Workers: 4, Query: workload.Default(workload.Aggregation),
 		EventsPerTuple: 400,
 	}, SearchConfig{Lo: 0.1e6, Hi: 1.6e6, Resolution: 0.05, ProbeRunFor: 75 * time.Second})
@@ -167,7 +168,7 @@ func TestFindSustainableFlinkHitsNetworkBound(t *testing.T) {
 func TestFindSustainableRespectsFloor(t *testing.T) {
 	// If even the floor rate fails (naive Storm join on 4 workers
 	// stalls), the search reports 0 with the failing result.
-	rate, res, err := FindSustainable(storm.New(storm.Options{}), Config{
+	rate, res, err := FindSustainableContext(context.Background(), storm.New(storm.Options{}), Config{
 		Seed: 42, Workers: 4, Query: workload.Default(workload.Join),
 		EventsPerTuple: 400,
 	}, SearchConfig{Lo: 0.05e6, Hi: 0.4e6, Resolution: 0.05, ProbeRunFor: 80 * time.Second})
@@ -189,7 +190,7 @@ func TestFindSustainableEnforcesWindowCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, _, err := FindSustainable(flink.New(flink.Options{}), Config{
+	rate, _, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), Config{
 		Seed: 42, Workers: 2, Query: q, EventsPerTuple: 400,
 	}, SearchConfig{Lo: 0.2e6, Hi: 1.6e6, Resolution: 0.1, ProbeRunFor: 75 * time.Second})
 	if err != nil {

@@ -63,10 +63,11 @@ func TestKillOfWorkerNotYetScaledInIsInert(t *testing.T) {
 	}
 }
 
-// TestRescaleToSameWorkerCountIsNoOp is a metamorphic test: a rescale
-// step to the worker count already in service changes nothing, so the
-// run's fingerprint equals the static run's on every engine.
-func TestRescaleToSameWorkerCountIsNoOp(t *testing.T) {
+// assertInert is the harness of the metamorphic no-op tests: on storm,
+// spark and flink at 4 workers and 0.4 M ev/s, a run with change applied
+// to its config must have the fingerprint of the run without it.
+func assertInert(t *testing.T, what string, change func(*Config)) {
+	t.Helper()
 	for _, newEngine := range []func() engine.Engine{
 		func() engine.Engine { return storm.New(storm.Options{}) },
 		func() engine.Engine { return spark.New(spark.Options{}) },
@@ -74,17 +75,37 @@ func TestRescaleToSameWorkerCountIsNoOp(t *testing.T) {
 	} {
 		cfg := quickConfig(0.4e6)
 		cfg.Workers = 4
-		static, err := Run(newEngine(), cfg)
+		plain, err := Run(newEngine(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{{At: 30 * time.Second, Workers: 4}}}
-		rescaled, err := Run(newEngine(), cfg)
+		change(&cfg)
+		changed, err := Run(newEngine(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := fingerprint(static), fingerprint(rescaled); a != b {
-			t.Errorf("%s: a rescale to the same 4 workers changed the run:\nstatic:   %.300s\nrescaled: %.300s", static.Engine, a, b)
+		if a, b := fingerprint(plain), fingerprint(changed); a != b {
+			t.Errorf("%s: %s changed the run:\nwithout: %.300s\nwith:    %.300s", plain.Engine, what, a, b)
 		}
 	}
+}
+
+// TestRescaleToSameWorkerCountIsNoOp is a metamorphic test: a rescale
+// step to the worker count already in service changes nothing.
+func TestRescaleToSameWorkerCountIsNoOp(t *testing.T) {
+	assertInert(t, "a rescale to the same 4 workers", func(cfg *Config) {
+		cfg.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{{At: 30 * time.Second, Workers: 4}}}
+	})
+}
+
+// TestStallPastRunEndIsNoOp is a metamorphic test: a stall whose window
+// opens after the run ends never takes capacity.  The factor is one that
+// bites: the same stall inside the run leaves less capacity than the
+// offered rate on all three engines.
+func TestStallPastRunEndIsNoOp(t *testing.T) {
+	assertInert(t, "a stall past the run's end", func(cfg *Config) {
+		cfg.Faults = &fault.Schedule{Events: []fault.Event{
+			{Kind: fault.KindStall, At: cfg.RunFor + time.Second, For: 5 * time.Second, Factor: 0.1},
+		}}
+	})
 }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -30,7 +31,7 @@ func TestSpeculativeSearchBitIdenticalToSequential(t *testing.T) {
 	seq := searchCfg()
 	seq.Speculate = 1
 	seq.Stats = &seqStats
-	seqRate, seqRes, err := FindSustainable(flink.New(flink.Options{}), searchBase(), seq)
+	seqRate, seqRes, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSpeculativeSearchBitIdenticalToSequential(t *testing.T) {
 		spec := searchCfg()
 		spec.Speculate = 7
 		spec.Stats = &specStats
-		rate, res, err := FindSustainable(flink.New(flink.Options{}), searchBase(), spec)
+		rate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), spec)
 		runtime.GOMAXPROCS(old)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +78,7 @@ func TestWarmStartSearch(t *testing.T) {
 	var cold SearchStats
 	cfg := searchCfg()
 	cfg.Stats = &cold
-	coldRate, _, err := FindSustainable(flink.New(flink.Options{}), searchBase(), cfg)
+	coldRate, _, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestWarmStartSearch(t *testing.T) {
 	wcfg := searchCfg()
 	wcfg.WarmLo, wcfg.WarmHi = cold.FinalLo, cold.FinalHi
 	wcfg.Stats = &warm
-	warmRate, res, err := FindSustainable(flink.New(flink.Options{}), searchBase(), wcfg)
+	warmRate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestWarmStartSearch(t *testing.T) {
 // sustainable) falls back to the cold search and returns exactly its
 // result.
 func TestWarmStartFallsBackCold(t *testing.T) {
-	coldRate, coldRes, err := FindSustainable(flink.New(flink.Options{}), searchBase(), searchCfg())
+	coldRate, coldRes, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), searchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 	// Flink is network-bound ~1.2M ev/s: a 1.4–1.6M bracket's floor fails.
 	wcfg.WarmLo, wcfg.WarmHi = 1.4e6, 1.6e6
 	wcfg.Stats = &stats
-	rate, res, err := FindSustainable(flink.New(flink.Options{}), searchBase(), wcfg)
+	rate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 	lcfg := searchCfg()
 	lcfg.WarmLo, lcfg.WarmHi = 0.3e6, 0.4e6
 	lcfg.Stats = &low
-	rate, res, err = FindSustainable(flink.New(flink.Options{}), searchBase(), lcfg)
+	rate, res, err = FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestWarmBracketValidation(t *testing.T) {
 func BenchmarkFindSustainableQuick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FindSustainable(flink.New(flink.Options{}), searchBase(), searchCfg()); err != nil {
+		if _, _, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), searchCfg()); err != nil {
 			b.Fatal(err)
 		}
 	}

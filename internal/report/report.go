@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/driver"
 	"repro/internal/metrics"
 )
 
@@ -149,25 +148,6 @@ func CSV(panels []FigurePanel) string {
 	var b strings.Builder
 	for _, p := range panels {
 		fmt.Fprintf(&b, "# %s\n%s", p.Title, p.Series.CSV())
-	}
-	return b.String()
-}
-
-// RunSummary renders a one-paragraph human summary of a driver run.
-func RunSummary(r *driver.Result) string {
-	ev := r.EventLatency.Summarize()
-	pr := r.ProcLatency.Summarize()
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s workers=%d offered=%.3g ev/s sustainable=%v\n",
-		r.Engine, r.Workers, r.OfferedRate(), r.Verdict.Sustainable)
-	fmt.Fprintf(&b, "  event-time latency:      %s\n", ev)
-	fmt.Fprintf(&b, "  processing-time latency: %s\n", pr)
-	fmt.Fprintf(&b, "  outputs=%d generated=%.3g ingested=%.3g\n",
-		r.Outputs, float64(r.Generated), float64(r.Ingested))
-	if r.Failed {
-		fmt.Fprintf(&b, "  FAILED: %s\n", r.FailReason)
-	} else {
-		fmt.Fprintf(&b, "  verdict: %s\n", r.Verdict.Reason)
 	}
 	return b.String()
 }

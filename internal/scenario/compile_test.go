@@ -308,6 +308,44 @@ func TestScenarioRunsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestIdealSustainableRateNeverFallsWithWorkers is a metamorphic test: the
+// ideal engine has no coordination cost, so adding workers never lowers
+// its sustainable rate.  It runs as a spec, which also pins that specs can
+// name the ideal engine.
+func TestIdealSustainableRateNeverFallsWithWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	exp, err := Compile(Spec{
+		Name:    "ideal-scaling",
+		Seeds:   1,
+		Measure: Measure{Kind: MeasureSustainable},
+		Sweeps: []Sweep{{
+			Engines: []string{"ideal"},
+			Workers: []int{2, 4, 8},
+			Query:   Query{Kind: "aggregation"},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exp.RunContext(context.Background(), core.Options{Seed: 42, Scale: core.Quick}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for _, k := range []string{"ideal/2", "ideal/4", "ideal/8"} {
+		r, ok := out.Metrics[k]
+		if !ok || r <= 0 {
+			t.Fatalf("%s = %v (present %v), want a positive sustainable rate", k, r, ok)
+		}
+		if r < prev {
+			t.Fatalf("%s = %v fell below the smaller cluster's %v", k, r, prev)
+		}
+		prev = r
+	}
+}
+
 // TestScenarioReplicationEndToEnd runs a Seeds>1 scenario and checks the
 // replication artefact: per-seed cells executed, spread table rendered,
 // flattened metrics present.

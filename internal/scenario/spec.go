@@ -245,7 +245,10 @@ func buildFaults(fs []Fault, domains map[string][]int) *fault.Schedule {
 // Sweep is one parameter grid: engines × workers × load points.
 type Sweep struct {
 	// Prefix, when set, leads every cell ID of this sweep ("agg/storm").
-	Prefix  string   `json:"prefix,omitempty"`
+	Prefix string `json:"prefix,omitempty"`
+	// Engines names the engine models of the grid: "storm", "spark",
+	// "flink", or "ideal" (the reference engine: the fabric bound, with
+	// no recovery or rescale cost).
 	Engines []string `json:"engines"`
 	Workers []int    `json:"workers"`
 	// Order controls the axis nesting of the enumeration:

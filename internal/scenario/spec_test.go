@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,28 @@ func TestBuiltinSpecsValidateAndCompile(t *testing.T) {
 		}
 		if _, err := Compile(s); err != nil {
 			t.Fatalf("builtin %s does not compile: %v", s.Name, err)
+		}
+	}
+}
+
+// TestShippedSpecsValidateAndCompile loads and compiles every spec in
+// examples/scenarios, as `sdpsbench -scenario-validate` does, so a shipped
+// spec that stops parsing, validating or compiling fails the test suite.
+func TestShippedSpecsValidateAndCompile(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no shipped specs found")
+	}
+	for _, p := range paths {
+		s, err := LoadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(s); err != nil {
+			t.Fatalf("%s does not compile: %v", p, err)
 		}
 	}
 }
