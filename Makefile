@@ -7,11 +7,13 @@
 # run.  `make bench-json` snapshots the headline benchmarks into a
 # BENCH_<date>.json for the perf trajectory; `make compare-gate` diffs a
 # fresh snapshot against the newest committed one and fails on regression
-# (tolerances in scripts/gate-thresholds.json).
+# (tolerances in scripts/gate-thresholds.json).  `make identity
+# BASE=<rev>` byte-compares this checkout's artifacts against a base
+# revision's; it is not part of `ci` because it needs a base.
 
 GO ?= go
 
-.PHONY: ci vet build test bench-smoke bench bench-json race smoke scenario-validate chaos compare-gate fuzz fuzz-explore profile
+.PHONY: ci vet build test bench-smoke bench bench-json race smoke scenario-validate chaos compare-gate fuzz fuzz-explore profile identity
 
 ci: vet build test race bench-smoke fuzz scenario-validate chaos compare-gate
 
@@ -95,6 +97,12 @@ fuzz-explore:
 # Every shipped scenario spec must parse, validate and compile.
 scenario-validate:
 	$(GO) run ./cmd/sdpsbench -scenario-validate examples/scenarios/*.json
+
+# Byte-identity oracle of a refactor: BASE's sdpsbench and this checkout's
+# must print byte-identical `-all` and `examples/scenarios/*.json`
+# artifacts, and this checkout's `-all` must not depend on GOMAXPROCS.
+identity:
+	scripts/identity.sh $(BASE)
 
 # End-to-end controller smoke: sdpsd + 2 in-process agents run table1 and a
 # scenario spec at quick scale; each fetched artifact must be byte-identical

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/generator"
@@ -228,16 +227,16 @@ func Run(eng engine.Engine, cfg Config) (*Result, error) {
 // RunContext is Run with cancellation: when ctx is cancelled the simulation
 // halts at the next sample tick and ctx.Err() is returned instead of a
 // result.  Cancellation never yields a partial Result, so it cannot
-// perturb determinism of completed runs.
+// perturb determinism of completed runs.  The run draws its components
+// from a new Probe that nothing else uses, so the Result stays valid.
 func RunContext(ctx context.Context, eng engine.Engine, cfg Config) (*Result, error) {
-	return runContext(ctx, eng, cfg, nil)
+	return NewProbe().Run(ctx, eng, cfg)
 }
 
-// runContext executes one run.  With a non-nil probe the kernel, cluster,
-// queues, generator, engine arena and metrics storage are recycled from
-// it (see Probe); with nil everything is built fresh.  Both paths are
-// bit-identical.
-func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe) (*Result, error) {
+// Run executes one benchmark run like RunContext, drawing the kernel,
+// cluster, queues, generator, engine arena and metrics storage from the
+// probe's arena (see Probe).
+func (p *Probe) Run(ctx context.Context, eng engine.Engine, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -245,31 +244,10 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
-	var (
-		k      *sim.Kernel
-		cl     *cluster.Cluster
-		queues *queue.Group
-		err    error
-	)
-	if probe != nil {
-		k, cl, queues, err = probe.components(cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		k = sim.NewKernel(cfg.Seed)
-		// Provision for the rescale plan's maximum worker count (the
-		// plan-free maximum is cfg.Workers itself), then start with only
-		// cfg.Workers in service; the engine runtime walks the active
-		// count along the plan every tick.
-		cl, err = cluster.New(cluster.DefaultConfig(cfg.Rescale.MaxWorkers(cfg.Workers)))
-		if err != nil {
-			return nil, err
-		}
-		cl.SetActive(cfg.Workers)
-		queues = queue.NewGroup("gen", cfg.GeneratorInstances, cfg.QueueCapPerInstance)
+	if err := p.components(cfg); err != nil {
+		return nil, err
 	}
+	k, cl, queues := p.k, p.cl, p.queues
 
 	genCfg := generator.Config{
 		Instances:      cfg.GeneratorInstances,
@@ -287,12 +265,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		genCfg.AdsShare = 0.3
 		genCfg.MatchProb = cfg.Query.Selectivity
 	}
-	var gen *generator.Generator
-	if probe != nil {
-		gen, err = probe.generatorFor(k, genCfg, queues)
-	} else {
-		gen, err = generator.New(k, genCfg, queues)
-	}
+	gen, err := p.generatorFor(k, genCfg, queues)
 	if err != nil {
 		return nil, err
 	}
@@ -315,17 +288,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		Workers: cfg.Workers,
 		Config:  cfg,
 	}
-	if probe != nil {
-		probe.metricsInto(res)
-	} else {
-		res.EventLatency = metrics.NewHistogram()
-		res.ProcLatency = metrics.NewHistogram()
-		res.EventLatencySeries = metrics.NewSeries("event_latency_s")
-		res.ProcLatencySeries = metrics.NewSeries("processing_latency_s")
-		res.EventLatencyMaxSeries = metrics.NewSeries("event_latency_max_s")
-		res.ThroughputSeries = metrics.NewSeries("ingest_rate_ev_s")
-		res.QueueDepthSeries = metrics.NewSeries("queue_depth_events")
-	}
+	p.metricsInto(res)
 
 	warmupEnd := time.Duration(float64(cfg.RunFor) * cfg.WarmupFraction)
 
@@ -356,10 +319,6 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		}
 	}
 
-	var mem *engine.Mem
-	if probe != nil {
-		mem = probe.mem
-	}
 	job, err := eng.Deploy(k, engine.Config{
 		Cluster:        cl,
 		Query:          cfg.Query,
@@ -368,7 +327,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 		Tick:           cfg.EngineTick,
 		EventWeight:    cfg.EventsPerTuple,
 		WatermarkSlack: cfg.WatermarkSlack,
-		Mem:            mem,
+		Mem:            p.mem,
 		Faults:         cfg.Faults,
 		Rescale:        cfg.Rescale,
 	})
@@ -447,7 +406,7 @@ func runContext(ctx context.Context, eng engine.Engine, cfg Config, probe *Probe
 			res.FailReason = "driver queue overflow: SUT could not keep a connection drained"
 		}
 	}
-	// A SUT that stopped emitting entirely during the measured window is
+	// A SUT that emitted nothing over the whole run, warm-up included, is
 	// stalled even if it never reported failure.
 	if res.Outputs == 0 {
 		res.Failed = true
@@ -675,10 +634,6 @@ func (s *searcher) probeAt(rate float64, n uint64) (*Result, *Probe, error) {
 	cfg := s.base
 	cfg.Rate = generator.ConstantRate(rate)
 	cfg.Seed = s.base.Seed + n*1_000_003
-	if cfg.Broker != nil {
-		res, err := RunContext(s.ctx, s.eng, cfg)
-		return res, nil, err
-	}
 	p := s.pool.acquire()
 	res, err := p.Run(s.ctx, s.eng, cfg)
 	if err != nil {

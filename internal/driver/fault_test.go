@@ -98,6 +98,16 @@ func TestRescaleToSameWorkerCountIsNoOp(t *testing.T) {
 	})
 }
 
+// TestRescalePastRunEndIsNoOp is a metamorphic test: a scale-out step
+// after the run ends never takes effect, so the run spends all of it on
+// the 4 workers it starts with, even though its cluster is provisioned
+// for 6.
+func TestRescalePastRunEndIsNoOp(t *testing.T) {
+	assertInert(t, "a rescale to 6 workers past the run's end", func(cfg *Config) {
+		cfg.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{{At: cfg.RunFor + time.Second, Workers: 6}}}
+	})
+}
+
 // TestStallPastRunEndIsNoOp is a metamorphic test: a stall whose window
 // opens after the run ends never takes capacity.  The factor is one that
 // bites: the same stall inside the run leaves less capacity than the

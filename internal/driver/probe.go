@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/cluster"
@@ -12,26 +11,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Probe is a reusable run instance: one complete set of simulation
-// components — kernel, cluster model, driver queues, generator fleet,
-// engine arena (runtime, window state, scratch queues) and metrics
-// storage — that Run recycles between runs instead of rebuilding.  The
+// Probe is a run instance and the only way a run is built: one complete
+// set of simulation components — kernel, cluster model, driver queues,
+// generator fleet, engine arena (runtime, window state, scratch queues)
+// and metrics storage — that Run recycles between runs instead of
+// rebuilding.  RunContext runs once on a new Probe; the
 // sustainable-throughput search runs dozens of probe simulations per
-// deployment; with a Probe the steady-state probes after the first
-// perform near-zero setup allocation (see DESIGN-PERF.md §8).
+// deployment, and with recycled Probes the steady-state probes after the
+// first perform near-zero setup allocation (see DESIGN-PERF.md §8).
 //
-// A Probe run is bit-identical to a fresh RunContext run: every recycled
-// component resets to exactly its freshly-constructed state (kernel
-// clock/sequence/RNG streams, queue rings, window tables, metrics), and
-// only capacity — ring sizes, table slabs, series backing arrays — is
-// carried over.
+// A run on a recycled Probe is bit-identical to a run on a new one: every
+// recycled component resets to exactly its freshly-constructed state
+// (kernel clock/sequence/RNG streams, queue rings, window tables,
+// metrics), and only capacity — ring sizes, table slabs, series backing
+// arrays — is carried over.  A broker run builds its broker and the
+// broker's output queues anew each time.
 //
 // Ownership: the Result returned by Run, and everything it references
 // (latency histograms, every series), lives in the probe's arena and is
-// valid only until the next Run or Reset.  Callers that keep a Result —
-// the searcher keeps the best probe's — must keep its Probe idle for as
-// long as they read the Result.  A Probe must not be used from two
-// goroutines at once.
+// valid only until the next Run.  Callers that keep a Result — the
+// searcher keeps the best probe's — must keep its Probe idle for as long
+// as they read the Result.  A Probe must not be used from two goroutines
+// at once.
 type Probe struct {
 	k      *sim.Kernel
 	cl     *cluster.Cluster
@@ -42,44 +43,49 @@ type Probe struct {
 	evLat, procLat                                         *metrics.Histogram
 	evSeries, procSeries, evMaxSeries, thrSeries, qdSeries *metrics.Series
 
-	// Shape of the recycled components; a mismatching config rebuilds.
-	workers   int
+	// Shape of the recycled queue fleet; a mismatching config rebuilds it.
 	instances int
 	capPer    int64
 }
 
-// NewProbe returns an empty probe; components materialize on first Run.
-func NewProbe() *Probe { return &Probe{} }
-
-// Run executes one benchmark run like RunContext, drawing every component
-// from the probe's arena.  Runs with a broker configured fall back to
-// fresh construction (the broker topology is not recycled), as do runs
-// with a rescale plan (the cluster must be provisioned past cfg.Workers).
-func (p *Probe) Run(ctx context.Context, eng engine.Engine, cfg Config) (*Result, error) {
-	if cfg.Broker != nil || !cfg.Rescale.Empty() {
-		return RunContext(ctx, eng, cfg)
+// NewProbe returns a probe with an empty engine arena and metrics
+// storage; the components that depend on a run's shape materialize on
+// its first Run.
+func NewProbe() *Probe {
+	return &Probe{
+		mem:         engine.NewMem(),
+		evLat:       metrics.NewHistogram(),
+		procLat:     metrics.NewHistogram(),
+		evSeries:    metrics.NewSeries("event_latency_s"),
+		procSeries:  metrics.NewSeries("processing_latency_s"),
+		evMaxSeries: metrics.NewSeries("event_latency_max_s"),
+		thrSeries:   metrics.NewSeries("ingest_rate_ev_s"),
+		qdSeries:    metrics.NewSeries("queue_depth_events"),
 	}
-	return runContext(ctx, eng, cfg, p)
 }
 
 // components resets (or first builds) the kernel, cluster and queues for
-// a run of cfg.  cfg must already carry defaults.
-func (p *Probe) components(cfg Config) (*sim.Kernel, *cluster.Cluster, *queue.Group, error) {
+// a run of cfg.  cfg must already carry defaults.  The cluster is
+// provisioned for the rescale plan's maximum worker count (the plan-free
+// maximum is cfg.Workers itself) and starts with only cfg.Workers in
+// service; the engine runtime walks the active count along the plan every
+// tick.
+func (p *Probe) components(cfg Config) error {
 	if p.k == nil {
 		p.k = sim.NewKernel(cfg.Seed)
 	} else {
 		p.k.Reset(cfg.Seed)
 	}
-	if p.cl == nil || p.workers != cfg.Workers {
-		cl, err := cluster.New(cluster.DefaultConfig(cfg.Workers))
+	if provisioned := cfg.Rescale.MaxWorkers(cfg.Workers); p.cl == nil || p.cl.Provisioned() != provisioned {
+		cl, err := cluster.New(cluster.DefaultConfig(provisioned))
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		p.cl = cl
-		p.workers = cfg.Workers
 	} else {
 		p.cl.Reset()
 	}
+	p.cl.SetActive(cfg.Workers)
 	if p.queues == nil || p.instances != cfg.GeneratorInstances || p.capPer != cfg.QueueCapPerInstance {
 		p.queues = queue.NewGroup("gen", cfg.GeneratorInstances, cfg.QueueCapPerInstance)
 		p.instances = cfg.GeneratorInstances
@@ -87,10 +93,7 @@ func (p *Probe) components(cfg Config) (*sim.Kernel, *cluster.Cluster, *queue.Gr
 	} else {
 		p.queues.Reset()
 	}
-	if p.mem == nil {
-		p.mem = engine.NewMem()
-	}
-	return p.k, p.cl, p.queues, nil
+	return nil
 }
 
 // generatorFor rebinds (or first builds) the generator fleet.
@@ -111,23 +114,13 @@ func (p *Probe) generatorFor(k *sim.Kernel, genCfg generator.Config, queues *que
 
 // metricsInto points res at the probe's reset metrics storage.
 func (p *Probe) metricsInto(res *Result) {
-	if p.evLat == nil {
-		p.evLat = metrics.NewHistogram()
-		p.procLat = metrics.NewHistogram()
-		p.evSeries = metrics.NewSeries("event_latency_s")
-		p.procSeries = metrics.NewSeries("processing_latency_s")
-		p.evMaxSeries = metrics.NewSeries("event_latency_max_s")
-		p.thrSeries = metrics.NewSeries("ingest_rate_ev_s")
-		p.qdSeries = metrics.NewSeries("queue_depth_events")
-	} else {
-		p.evLat.Reset()
-		p.procLat.Reset()
-		p.evSeries.Reset()
-		p.procSeries.Reset()
-		p.evMaxSeries.Reset()
-		p.thrSeries.Reset()
-		p.qdSeries.Reset()
-	}
+	p.evLat.Reset()
+	p.procLat.Reset()
+	p.evSeries.Reset()
+	p.procSeries.Reset()
+	p.evMaxSeries.Reset()
+	p.thrSeries.Reset()
+	p.qdSeries.Reset()
 	res.EventLatency = p.evLat
 	res.ProcLatency = p.procLat
 	res.EventLatencySeries = p.evSeries

@@ -6,7 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broker"
+	"repro/internal/engine"
 	"repro/internal/engine/flink"
+	"repro/internal/engine/ideal"
+	"repro/internal/engine/spark"
+	"repro/internal/engine/storm"
+	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/workload"
 )
@@ -22,31 +28,67 @@ func probeTestConfig(rate float64) Config {
 	}
 }
 
-// TestProbeRunBitIdenticalToFresh is the arena determinism pin: a run on
-// a recycled Probe — after the arena has been dirtied by a different
-// prior run — must produce a Result deep-equal to a fresh RunContext run
-// of the same config.
+// TestProbeRunBitIdenticalToFresh is the arena determinism pin: every row
+// runs on one Probe, dirtied by the row before it, and must produce a
+// Result deep-equal to a run on a new Probe (driver.Run).  The table runs
+// twice, so the second pass recycles every window operator kind
+// (Incremental, Pane, Buffered, TwoStream), Storm's scratch queue and a
+// cluster reprovisioned for the rescale row.
 func TestProbeRunBitIdenticalToFresh(t *testing.T) {
-	eng := flink.New(flink.Options{})
-	fresh, err := Run(eng, probeTestConfig(0.6e6))
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		name string
+		eng  engine.Engine
+		cfg  Config
+	}
+	var rows []row
+	for _, eng := range []engine.Engine{
+		storm.New(storm.Options{}),
+		spark.New(spark.Options{}),
+		flink.New(flink.Options{}),
+		ideal.New(),
+	} {
+		for _, qt := range []workload.Type{workload.Aggregation, workload.Join} {
+			cfg := probeTestConfig(0.6e6)
+			cfg.Query = workload.Default(qt)
+			rows = append(rows, row{eng.Name() + "/" + qt.String(), eng, cfg})
+		}
+	}
+	brokered := probeTestConfig(0.6e6)
+	bc := broker.DefaultConfig()
+	brokered.Broker = &bc
+	rows = append(rows, row{"flink/broker", flink.New(flink.Options{}), brokered})
+	rescaled := probeTestConfig(0.6e6)
+	rescaled.Rescale = &fault.RescalePlan{Steps: []fault.RescaleStep{{At: 30 * time.Second, Workers: 6}}}
+	rows = append(rows, row{"storm/rescale-4-to-6", storm.New(storm.Options{}), rescaled})
+
+	fresh := make([]*Result, len(rows))
+	for i, r := range rows {
+		res, err := Run(r.eng, r.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		fresh[i] = res
 	}
 
 	p := NewProbe()
-	// Dirty the arena with a run at a different rate and seed.
+	// Dirty the arena before the first row with a run at a different
+	// rate and seed.
 	dirty := probeTestConfig(1.1e6)
 	dirty.Seed = 7
-	if _, err := p.Run(context.Background(), eng, dirty); err != nil {
+	if _, err := p.Run(context.Background(), flink.New(flink.Options{}), dirty); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Run(context.Background(), eng, probeTestConfig(0.6e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, fresh) {
-		t.Fatalf("recycled probe Result differs from fresh run:\nprobe: outputs=%d gen=%d verdict=%+v\nfresh: outputs=%d gen=%d verdict=%+v",
-			got.Outputs, got.Generated, got.Verdict, fresh.Outputs, fresh.Generated, fresh.Verdict)
+	for pass := 1; pass <= 2; pass++ {
+		for i, r := range rows {
+			got, err := p.Run(context.Background(), r.eng, r.cfg)
+			if err != nil {
+				t.Fatalf("pass %d, %s: %v", pass, r.name, err)
+			}
+			if !reflect.DeepEqual(got, fresh[i]) {
+				t.Fatalf("pass %d, %s: recycled probe Result differs from fresh run:\nprobe: outputs=%d gen=%d verdict=%+v\nfresh: outputs=%d gen=%d verdict=%+v",
+					pass, r.name, got.Outputs, got.Generated, got.Verdict, fresh[i].Outputs, fresh[i].Generated, fresh[i].Verdict)
+			}
+		}
 	}
 }
 

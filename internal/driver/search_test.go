@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/engine/flink"
 	"repro/internal/workload"
 )
@@ -25,13 +26,29 @@ func searchCfg() SearchConfig {
 // TestSpeculativeSearchBitIdenticalToSequential is the determinism pin of
 // DESIGN-PERF.md §6: the speculative search must return a bit-identical
 // rate and Result to the strictly sequential bisection, at GOMAXPROCS=1
-// and on a parallel budget.
+// and on a parallel budget.  The broker base puts brokered probes on the
+// pooled arenas shared by the speculation goroutines.
 func TestSpeculativeSearchBitIdenticalToSequential(t *testing.T) {
+	brokered := searchBase()
+	bc := broker.DefaultConfig()
+	brokered.Broker = &bc
+	for _, tc := range []struct {
+		name string
+		base Config
+	}{
+		{"direct", searchBase()},
+		{"broker", brokered},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSpeculativeMatchesSequential(t, tc.base) })
+	}
+}
+
+func checkSpeculativeMatchesSequential(t *testing.T, base Config) {
 	var seqStats SearchStats
 	seq := searchCfg()
 	seq.Speculate = 1
 	seq.Stats = &seqStats
-	seqRate, seqRes, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), seq)
+	seqRate, seqRes, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), base, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +59,7 @@ func TestSpeculativeSearchBitIdenticalToSequential(t *testing.T) {
 		spec := searchCfg()
 		spec.Speculate = 7
 		spec.Stats = &specStats
-		rate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), searchBase(), spec)
+		rate, res, err := FindSustainableContext(context.Background(), flink.New(flink.Options{}), base, spec)
 		runtime.GOMAXPROCS(old)
 		if err != nil {
 			t.Fatal(err)

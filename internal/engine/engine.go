@@ -61,11 +61,11 @@ type Config struct {
 	// the paper's future-work section, exercised by the disorder and
 	// broker ablations.
 	WatermarkSlack time.Duration
-	// Mem, when non-nil, is the deployment's recycled-state arena: a
-	// reused probe run (driver.Probe) passes the same Mem to every
-	// Deploy, and the engine draws its runtime, window state and scratch
-	// queues from it instead of allocating fresh ones.  nil (the default)
-	// means fresh construction everywhere.
+	// Mem is the deployment's recycled-state arena: the engine draws its
+	// runtime, window state and scratch queues from it.  A driver.Probe
+	// passes the same Mem to every Deploy it runs, so those survive
+	// between its runs with their grown capacity; WithDefaults fills a
+	// nil Mem with a new, empty arena.
 	Mem *Mem
 	// Faults, when non-nil, is the run's deterministic fault schedule:
 	// the runtime scales every source pull by the schedule's capacity
@@ -93,28 +93,15 @@ type Mem struct {
 }
 
 // NewMem returns an empty arena.
-func NewMem() *Mem { return &Mem{} }
+func NewMem() *Mem { return &Mem{queues: make(map[string]*queue.Queue)} }
 
-// Pool returns the window-state pool backing this deployment, or nil
-// when no arena is attached (window.Pool methods treat a nil pool as
-// "construct fresh").
-func (c Config) Pool() *window.Pool {
-	if c.Mem == nil {
-		return nil
-	}
-	return &c.Mem.windows
-}
+// Pool returns the window-state pool of the deployment's arena.
+func (c Config) Pool() *window.Pool { return &c.Mem.windows }
 
 // ScratchQueue returns an empty unbounded queue for engine-internal
 // buffering (e.g. Storm's spout in-flight buffer), recycled from the
-// arena when one is attached so its grown log survives across runs.
+// arena so its grown log survives across runs.
 func (c Config) ScratchQueue(name string) *queue.Queue {
-	if c.Mem == nil {
-		return queue.New(name, 0)
-	}
-	if c.Mem.queues == nil {
-		c.Mem.queues = make(map[string]*queue.Queue)
-	}
 	q, ok := c.Mem.queues[name]
 	if !ok {
 		q = queue.New(name, 0)
@@ -132,6 +119,9 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.EventWeight <= 0 {
 		c.EventWeight = 1
+	}
+	if c.Mem == nil {
+		c.Mem = NewMem()
 	}
 	return c
 }

@@ -82,19 +82,17 @@ type Runtime struct {
 	out tuple.Output
 }
 
-// NewRuntime wires a runtime.  When cfg.Mem carries an arena, the
-// runtime (pull batch, hot-key table, emission scratch) is recycled from
-// it instead of allocated.
+// NewRuntime wires a runtime, recycled from cfg.Mem's arena (pull batch,
+// hot-key table, emission scratch) after the arena's first run.  cfg must
+// already carry defaults.
 func NewRuntime(k *sim.Kernel, cfg Config) *Runtime {
-	if m := cfg.Mem; m != nil {
-		if m.rt == nil {
-			m.rt = freshRuntime(k, cfg)
-		} else {
-			m.rt.rebind(k, cfg)
-		}
-		return m.rt
+	m := cfg.Mem
+	if m.rt == nil {
+		m.rt = freshRuntime(k, cfg)
+	} else {
+		m.rt.rebind(k, cfg)
 	}
-	return freshRuntime(k, cfg)
+	return m.rt
 }
 
 func freshRuntime(k *sim.Kernel, cfg Config) *Runtime {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine/ideal"
 	"repro/internal/engine/spark"
 	"repro/internal/engine/storm"
+	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/oracle"
 	"repro/internal/tuple"
@@ -23,17 +24,36 @@ import (
 // buffered windows, a different path from flink's and ideal's incremental
 // state.  Spark is not a row: it windows by arrival time, so its sums
 // differ from the event-time oracle near window boundaries.
+//
+// Each engine also has a faulted row: a whole-cluster stall to 10% of
+// capacity over [30 s, 35 s), inside the checked windows.  The stall must
+// bite — the run's peak driver-queue depth must exceed the fault-free
+// run's — and the backlog it leaves must still fold into the right sums.
 func TestAggregationMatchesOracle(t *testing.T) {
+	stall := &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.KindStall, At: 30 * time.Second, For: 5 * time.Second, Factor: 0.1},
+	}}
 	for _, eng := range []engine.Engine{
 		flink.New(flink.Options{}),
 		storm.New(storm.Options{}),
 		ideal.New(),
 	} {
-		t.Run(eng.Name(), func(t *testing.T) { runOracleCheck(t, eng) })
+		t.Run(eng.Name(), func(t *testing.T) {
+			plain := runOracleCheck(t, eng, nil)
+			t.Run("stall", func(t *testing.T) {
+				stalled := runOracleCheck(t, eng, stall)
+				if a, b := stalled.QueueDepthSeries.Max(), plain.QueueDepthSeries.Max(); a <= b {
+					t.Fatalf("the stall did not bite: peak queue depth %v with it, %v without", a, b)
+				}
+			})
+		})
 	}
 }
 
-func runOracleCheck(t *testing.T, eng engine.Engine) {
+// runOracleCheck runs eng on the aggregation query under faults (nil for
+// none), checks its interior windows against the oracle and returns the
+// run's Result.
+func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule) *driver.Result {
 	t.Helper()
 	q := workload.Default(workload.Aggregation)
 
@@ -47,6 +67,7 @@ func runOracleCheck(t *testing.T, eng engine.Engine) {
 		Query:          q,
 		RunFor:         80 * time.Second,
 		EventsPerTuple: 200,
+		Faults:         faults,
 		EventTap: func(e *tuple.Event) {
 			log = append(log, *e)
 		},
@@ -101,6 +122,7 @@ func runOracleCheck(t *testing.T, eng engine.Engine) {
 				eng.Name(), r.Key, r.WindowEnd, r.Sum)
 		}
 	}
+	return res
 }
 
 // TestJoinCountMatchesOracle verifies every engine's join pipeline

@@ -1,14 +1,10 @@
 package window
 
-// Pool recycles window operator state across simulation runs: a reused
-// probe run (driver.Probe) hands its engine a Pool, and Deploy draws
+// Pool recycles window operator state across simulation runs: every
+// deployment's engine arena (engine.Mem) holds a Pool, and Deploy draws
 // reset-but-grown operators from it instead of allocating fresh tables
 // and slabs.  One run deploys at most one operator of each kind, so the
 // pool caches exactly one instance per kind.
-//
-// All acquisition methods are nil-receiver safe: a nil Pool (no arena —
-// the default RunContext path) falls back to fresh construction, which
-// keeps engine code identical on both paths.
 type Pool struct {
 	inc  *IncrementalAggregator
 	pane *PaneAggregator
@@ -18,9 +14,6 @@ type Pool struct {
 
 // Incremental returns a reset IncrementalAggregator over asg.
 func (p *Pool) Incremental(asg Assigner) *IncrementalAggregator {
-	if p == nil {
-		return NewIncrementalAggregator(asg)
-	}
 	if p.inc == nil {
 		p.inc = NewIncrementalAggregator(asg)
 	} else {
@@ -31,9 +24,6 @@ func (p *Pool) Incremental(asg Assigner) *IncrementalAggregator {
 
 // Pane returns a reset PaneAggregator over asg.
 func (p *Pool) Pane(asg Assigner) *PaneAggregator {
-	if p == nil {
-		return NewPaneAggregator(asg)
-	}
 	if p.pane == nil {
 		p.pane = NewPaneAggregator(asg)
 	} else {
@@ -44,9 +34,6 @@ func (p *Pool) Pane(asg Assigner) *PaneAggregator {
 
 // Buffered returns a reset BufferedWindows over asg.
 func (p *Pool) Buffered(asg Assigner) *BufferedWindows {
-	if p == nil {
-		return NewBufferedWindows(asg)
-	}
 	if p.buf == nil {
 		p.buf = NewBufferedWindows(asg)
 	} else {
@@ -57,9 +44,6 @@ func (p *Pool) Buffered(asg Assigner) *BufferedWindows {
 
 // TwoStream returns a reset TwoStreamBuffer over asg.
 func (p *Pool) TwoStream(asg Assigner) *TwoStreamBuffer {
-	if p == nil {
-		return NewTwoStreamBuffer(asg)
-	}
 	if p.two == nil {
 		p.two = NewTwoStreamBuffer(asg)
 	} else {
