@@ -31,9 +31,9 @@ func probeTestConfig(rate float64) Config {
 // TestProbeRunBitIdenticalToFresh is the arena determinism pin: every row
 // runs on one Probe, dirtied by the row before it, and must produce a
 // Result deep-equal to a run on a new Probe (driver.Run).  The table runs
-// twice, so the second pass recycles every window operator kind
-// (Incremental, Pane, Buffered, TwoStream), Storm's scratch queue and a
-// cluster reprovisioned for the rescale row.
+// twice, so the second pass recycles every window operator kind (Pane,
+// TwoStream), Storm's scratch queue and a cluster reprovisioned for the
+// rescale row.
 func TestProbeRunBitIdenticalToFresh(t *testing.T) {
 	type row struct {
 		name string

@@ -5,6 +5,12 @@
 // bounded by the network fabric rather than by CPU on every cluster size
 // the paper tested (the flat 1.2M events/s of Table I).
 //
+// The incremental operator is a cost profile, not a data structure: its
+// sums come from the same pane partials every engine folds into
+// (window.PaneAggregator), and what sets Flink apart — cheap fires,
+// emission on the tick the watermark passes — lives in the model's
+// constants and tick logic.
+//
 // Behavioural anchors reproduced here, with their source in the paper:
 //
 //   - Sustainable aggregation throughput 1.2M ev/s at 2/4/8 nodes
@@ -154,7 +160,7 @@ type job struct {
 	opts Options
 	rng  *sim.RNG
 
-	agg     *window.IncrementalAggregator
+	agg     *window.PaneAggregator
 	joinBuf *window.TwoStreamBuffer
 
 	cpuLaw engine.CapacityLaw
@@ -195,7 +201,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 		j.cpuLaw = joinCPULaw
 		j.netCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
 	default:
-		j.agg = cfg.Pool().Incremental(asg)
+		j.agg = cfg.Pool().Pane(asg)
 		j.cpuLaw = aggCPULaw
 		j.netCap = cfg.Cluster.NetworkEventCap(1)
 	}
@@ -227,7 +233,7 @@ func (j *job) LateDropped() int64 {
 	if j.agg != nil {
 		return j.agg.LateDropped()
 	}
-	return j.joinBuf.Purchases.LateDropped() + j.joinBuf.Ads.LateDropped()
+	return j.joinBuf.LateDropped()
 }
 
 // capacity returns this tick's effective ingestion capacity in events/s.

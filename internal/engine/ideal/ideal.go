@@ -1,5 +1,5 @@
 // Package ideal implements a reference engine with no modelled overheads:
-// perfect per-tuple backpressure, incremental window state, zero
+// perfect per-tuple backpressure, pane-partial window state, zero
 // coordination cost, no GC and no transients — its throughput is bounded
 // only by the cluster fabric.  It exists as (i) the upper-bound baseline
 // the three real-system models can be compared against, and (ii) the
@@ -41,7 +41,7 @@ func (e *Engine) Rescale() fault.Rescale { return fault.Rescale{} }
 
 type job struct {
 	rt      *engine.Runtime
-	agg     *window.IncrementalAggregator
+	agg     *window.PaneAggregator
 	joinBuf *window.TwoStreamBuffer
 	netCap  float64
 }
@@ -61,7 +61,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 		j.joinBuf = cfg.Pool().TwoStream(asg)
 		j.netCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
 	default:
-		j.agg = cfg.Pool().Incremental(asg)
+		j.agg = cfg.Pool().Pane(asg)
 		j.netCap = cfg.Cluster.NetworkEventCap(1)
 	}
 	// Idealised cost: a fraction of Flink's (perfect pipelining).
@@ -87,7 +87,7 @@ func (j *job) LateDropped() int64 {
 	if j.agg != nil {
 		return j.agg.LateDropped()
 	}
-	return j.joinBuf.Purchases.LateDropped() + j.joinBuf.Ads.LateDropped()
+	return j.joinBuf.LateDropped()
 }
 
 func (j *job) tick(now sim.Time) {

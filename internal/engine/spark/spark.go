@@ -232,7 +232,7 @@ func (j *job) LateDropped() int64 {
 	if j.agg != nil {
 		return j.agg.LateDropped()
 	}
-	return j.joinBuf.Purchases.LateDropped() + j.joinBuf.Ads.LateDropped()
+	return j.joinBuf.LateDropped()
 }
 
 // capacity is the engine's sustainable ingest rate for the current
@@ -312,7 +312,9 @@ func (j *job) submitBatch(now sim.Time) {
 	// old (their max event-time lags) — the Figure 7 effect.
 	deadline := time.Duration(now)
 	if j.agg != nil {
-		sj.out.agg = j.agg.Fire(deadline)
+		// The job holds its results past the next Fire, which reuses
+		// the aggregator's result slab: copy them out.
+		sj.out.agg = append(sj.out.agg, j.agg.Fire(deadline)...)
 	} else {
 		for _, fw := range j.joinBuf.Fire(deadline) {
 			sj.out.join = append(sj.out.join, j.joinBuf.HashJoin(fw)...)

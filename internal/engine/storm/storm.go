@@ -6,6 +6,13 @@
 // without backpressure — dropped connections to the generator queues under
 // overload, which the paper counts as failure.
 //
+// The buffered UDF window is a cost, not a data structure: the window's
+// sums come from the same pane partials every engine folds into
+// (window.PaneAggregator), while re-scanning the raw window at trigger
+// time is charged as fire debt (fireCostShare of the window's weight) and
+// the raw events' heap as a counter (window.BufferedEventBytes per event
+// and unfired window), checked against the worker heap.
+//
 // Behavioural anchors reproduced here, with their source in the paper:
 //
 //   - Sustainable aggregation throughput 0.40/0.69/0.99M ev/s, ~8% above
@@ -140,8 +147,12 @@ type job struct {
 	opts Options
 	rng  *sim.RNG
 
-	agg     *window.BufferedWindows
+	agg     *window.PaneAggregator
 	joinBuf *window.TwoStreamBuffer
+	// heap is the modelled heap of the aggregation's buffered UDF
+	// windows: window.BufferedEventBytes per event weight and unfired
+	// window holding it, released when the window fires.
+	heap int64
 
 	sustainLaw engine.CapacityLaw
 	netCap     float64
@@ -200,7 +211,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 			})
 		}
 	default:
-		j.agg = cfg.Pool().Buffered(asg)
+		j.agg = cfg.Pool().Pane(asg)
 		j.sustainLaw = aggSustainLaw
 		j.netCap = cfg.Cluster.NetworkEventCap(1)
 	}
@@ -240,7 +251,7 @@ func (j *job) LateDropped() int64 {
 	if j.agg != nil {
 		return j.agg.LateDropped()
 	}
-	return j.joinBuf.Purchases.LateDropped() + j.joinBuf.Ads.LateDropped()
+	return j.joinBuf.LateDropped()
 }
 
 // transientsFor builds Storm's episode model for an n-worker deployment:
@@ -362,7 +373,7 @@ func (j *job) process(e *tuple.Event, now sim.Time) {
 		j.processedWM = e.EventTime
 	}
 	if j.agg != nil {
-		j.agg.Add(e)
+		j.heap += j.agg.Add(e) * window.BufferedEventBytes * e.Weight
 	} else {
 		j.joinBuf.Add(e)
 	}
@@ -377,7 +388,7 @@ func (j *job) checkMemory(now sim.Time) {
 	}
 	var state int64
 	if j.agg != nil {
-		state = j.agg.StateBytes()
+		state = j.heap
 	} else {
 		state = j.joinBuf.StateBytes()
 	}
@@ -397,15 +408,23 @@ func (j *job) fire(now sim.Time, cap float64) {
 		wm = 0
 	}
 	if j.agg != nil {
-		for _, fw := range j.agg.Fire(wm) {
+		// Results arrive ordered by window: each window's debt is its
+		// summed weight, and its results leave once that debt is paid.
+		res := j.agg.Fire(wm)
+		for len(res) > 0 {
+			n, weight := 0, int64(0)
+			for ; n < len(res) && res[n].Window == res[0].Window; n++ {
+				weight += res[n].Agg.Weight
+			}
+			j.heap -= window.BufferedEventBytes * weight
 			if cap > 0 {
-				j.debt += fireCostShare * float64(fw.Weight) / cap
+				j.debt += fireCostShare * float64(weight) / cap
 			}
 			emit := now + time.Duration(j.debt*float64(time.Second))
-			for _, r := range j.agg.Aggregate(fw) {
+			for _, r := range res[:n] {
 				j.rt.EmitAgg(r, emit)
 			}
-			j.agg.Recycle(fw)
+			res = res[n:]
 		}
 		return
 	}

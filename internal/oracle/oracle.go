@@ -6,7 +6,7 @@
 // emitted.
 //
 // The oracle uses textbook (non-incremental) evaluation so it shares no
-// code path with the engines' incremental/pane/buffered operators.
+// code path with the engines' pane aggregation or buffered join state.
 package oracle
 
 import (

@@ -20,28 +20,39 @@ import (
 // TestAggregationMatchesOracle is the end-to-end correctness check: run
 // the full benchmark pipeline (generator -> queues -> engine model ->
 // sink), capture every generated event, and verify each engine's emitted
-// window sums equal a brute-force recomputation.  Storm fires from fully
-// buffered windows, a different path from flink's and ideal's incremental
-// state.  Spark is not a row: it windows by arrival time, so its sums
-// differ from the event-time oracle near window boundaries.
+// window sums equal a brute-force recomputation.  Every engine folds into
+// the same pane partials (window.PaneAggregator), so the oracle, not a
+// second engine, is the independent check.  The event-time engines must
+// match per (key, window) cell.  Spark windows by arrival time, so an
+// event near a window boundary can land in the neighbouring window: each
+// interior window's total SUM must match within 3%, the tolerance of the
+// join oracle check.
 //
-// Each engine also has a faulted row: a whole-cluster stall to 10% of
-// capacity over [30 s, 35 s), inside the checked windows.  The stall must
-// bite — the run's peak driver-queue depth must exceed the fault-free
-// run's — and the backlog it leaves must still fold into the right sums.
+// Each event-time engine also has a faulted row: a whole-cluster stall to
+// 10% of capacity over [30 s, 35 s), inside the checked windows.  The
+// stall must bite — the run's peak driver-queue depth must exceed the
+// fault-free run's — and the backlog it leaves must still fold into the
+// right sums.  Spark has no stall row.
 func TestAggregationMatchesOracle(t *testing.T) {
 	stall := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.KindStall, At: 30 * time.Second, For: 5 * time.Second, Factor: 0.1},
 	}}
-	for _, eng := range []engine.Engine{
-		flink.New(flink.Options{}),
-		storm.New(storm.Options{}),
-		ideal.New(),
+	for _, tc := range []struct {
+		eng   engine.Engine
+		exact bool
+	}{
+		{flink.New(flink.Options{}), true},
+		{storm.New(storm.Options{}), true},
+		{ideal.New(), true},
+		{spark.New(spark.Options{}), false},
 	} {
-		t.Run(eng.Name(), func(t *testing.T) {
-			plain := runOracleCheck(t, eng, nil)
+		t.Run(tc.eng.Name(), func(t *testing.T) {
+			plain := runOracleCheck(t, tc.eng, nil, tc.exact)
+			if !tc.exact {
+				return
+			}
 			t.Run("stall", func(t *testing.T) {
-				stalled := runOracleCheck(t, eng, stall)
+				stalled := runOracleCheck(t, tc.eng, stall, true)
 				if a, b := stalled.QueueDepthSeries.Max(), plain.QueueDepthSeries.Max(); a <= b {
 					t.Fatalf("the stall did not bite: peak queue depth %v with it, %v without", a, b)
 				}
@@ -51,9 +62,10 @@ func TestAggregationMatchesOracle(t *testing.T) {
 }
 
 // runOracleCheck runs eng on the aggregation query under faults (nil for
-// none), checks its interior windows against the oracle and returns the
-// run's Result.
-func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule) *driver.Result {
+// none), checks its interior windows against the oracle — per (key,
+// window) cell when exact, else each window's total SUM within 3% — and
+// returns the run's Result.
+func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule, exact bool) *driver.Result {
 	t.Helper()
 	q := workload.Default(workload.Aggregation)
 
@@ -101,6 +113,24 @@ func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule) *dr
 	}
 	if len(interior) < 5 {
 		t.Fatalf("too few interior windows: %d", len(interior))
+	}
+	if !exact {
+		want, got := map[time.Duration]int64{}, map[time.Duration]int64{}
+		for _, r := range expected {
+			want[r.WindowEnd] += r.Sum
+		}
+		for _, o := range outputs {
+			got[o.WindowEnd] += o.Value
+		}
+		for end, w := range want {
+			if end <= 20*time.Second || end >= 60*time.Second {
+				continue
+			}
+			if g := got[end]; g < w*97/100 || g > w*103/100 {
+				t.Fatalf("%s window %v: SUM %d, oracle expects %d (beyond 3%%)", eng.Name(), end, g, w)
+			}
+		}
+		return res
 	}
 	if bad := oracle.CompareAggregates(expected, outputs, interior); bad != nil {
 		t.Fatalf("%s output disagrees with oracle on %d (key, window) cells; first: %+v",

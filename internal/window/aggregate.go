@@ -1,10 +1,10 @@
 package window
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
-	"repro/internal/flat"
 	"repro/internal/tuple"
 )
 
@@ -47,97 +47,6 @@ func (g *Agg) merge(o Agg) {
 	g.Prov.Merge(o.Prov)
 }
 
-// IncrementalAggregator computes sliding-window SUM aggregates on the fly,
-// the way Flink's aggregate function does: each arriving event updates the
-// partial result of every window it belongs to, so firing a window is O(1)
-// per key and no raw events are retained.  Memory is proportional to
-// (#live windows × #keys in them), not to the event count.  Partials live
-// by value in a flat.Table keyed (key, window-end), so the steady state
-// allocates nothing once the table has grown to the working set.
-type IncrementalAggregator struct {
-	asg Assigner
-	// state holds the (key, window-end) partials; ends counts live keys
-	// per window end so firing scans only windows, not state entries.
-	state flat.Table[Agg]
-	ends  flat.Table[int]
-	// firedThrough is the firing cursor: windows with End <= firedThrough
-	// have fired, and late events' contributions to them are lost
-	// (allowed lateness zero, the engines' configuration in the paper).
-	firedThrough time.Duration
-	// lateDropped counts window contributions lost to lateness: one per
-	// (event, already-fired window) pair.  An event that misses every
-	// window it belongs to therefore counts size/slide times.
-	lateDropped int64
-	// scratch avoids per-event allocation in Assign; firedEnds and out
-	// are the per-fire scratch slabs (out is valid until the next Fire).
-	scratch   []ID
-	firedEnds []time.Duration
-	out       []Result
-}
-
-// NewIncrementalAggregator builds an empty aggregator.
-func NewIncrementalAggregator(asg Assigner) *IncrementalAggregator {
-	return &IncrementalAggregator{asg: asg}
-}
-
-// Reset empties the aggregator for reuse under a (possibly different)
-// assigner, keeping grown table and scratch capacity (see driver.Probe).
-func (ia *IncrementalAggregator) Reset(asg Assigner) {
-	ia.asg = asg
-	ia.state.Reset()
-	ia.ends.Reset()
-	ia.firedThrough = 0
-	ia.lateDropped = 0
-}
-
-// Add folds one event into every not-yet-fired window containing it.  The
-// pointee is copied into the partials, not retained.
-func (ia *IncrementalAggregator) Add(e *tuple.Event) {
-	ia.scratch = ia.scratch[:0]
-	ia.asg.AssignTo(e.EventTime, &ia.scratch)
-	for _, w := range ia.scratch {
-		if w.End <= ia.firedThrough {
-			// This window already fired; the contribution is lost.
-			ia.lateDropped++
-			continue
-		}
-		g, fresh := ia.state.Upsert(flat.K2(e.Key(), int64(w.End)))
-		if fresh {
-			n, _ := ia.ends.Upsert(flat.K(int64(w.End)))
-			*n++
-		}
-		g.add(e)
-	}
-}
-
-// AddBatch folds every event of the batch in row order, streaming over the
-// key, price, weight, event-time and ingest-time columns — the stream and
-// user columns are never touched on the aggregation path.  Equivalent to
-// calling Add row by row.
-func (ia *IncrementalAggregator) AddBatch(b *tuple.Batch) {
-	c := b.Columns()
-	for i, et := range c.EventTime {
-		ia.scratch = ia.scratch[:0]
-		ia.asg.AssignTo(et, &ia.scratch)
-		for _, w := range ia.scratch {
-			if w.End <= ia.firedThrough {
-				ia.lateDropped++
-				continue
-			}
-			g, fresh := ia.state.Upsert(flat.K2(c.GemPackID[i], int64(w.End)))
-			if fresh {
-				n, _ := ia.ends.Upsert(flat.K(int64(w.End)))
-				*n++
-			}
-			g.addVals(c.Price[i], c.Weight[i], et, c.IngestTime[i])
-		}
-	}
-}
-
-// LateDropped returns the number of (event, window) contributions lost to
-// late arrival.
-func (ia *IncrementalAggregator) LateDropped() int64 { return ia.lateDropped }
-
 // Result is one fired (key, window) aggregate.
 type Result struct {
 	Key    int64
@@ -145,57 +54,13 @@ type Result struct {
 	Agg    Agg
 }
 
-// Fire removes and returns the aggregates of every window with
-// End <= watermark, ordered by (End, Key) for determinism.  The returned
-// slice is a reused scratch slab, valid until the next Fire.
-func (ia *IncrementalAggregator) Fire(watermark time.Duration) []Result {
-	if watermark > ia.firedThrough {
-		ia.firedThrough = watermark
-	}
-	ia.firedEnds = ia.firedEnds[:0]
-	ia.ends.Range(func(k flat.Key, _ *int) bool {
-		if end := time.Duration(k.A); end <= watermark {
-			ia.firedEnds = append(ia.firedEnds, end)
-		}
-		return true
-	})
-	if len(ia.firedEnds) == 0 {
-		return nil
-	}
-	ia.out = ia.out[:0]
-	ia.state.Range(func(k flat.Key, g *Agg) bool {
-		if end := time.Duration(k.B); end <= watermark {
-			ia.out = append(ia.out, Result{Key: k.A, Window: ID{End: end}, Agg: *g})
-			ia.state.Delete(k)
-		}
-		return true
-	})
-	for _, end := range ia.firedEnds {
-		ia.ends.Delete(flat.K(int64(end)))
-	}
-	sortResults(ia.out)
-	return ia.out
-}
-
 // sortResults orders fired aggregates by (End, Key), the deterministic
 // emission order every engine model shares.
 func sortResults(out []Result) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Window.End != out[j].Window.End {
-			return out[i].Window.End < out[j].Window.End
+	slices.SortFunc(out, func(a, b Result) int {
+		if c := cmp.Compare(a.Window.End, b.Window.End); c != 0 {
+			return c
 		}
-		return out[i].Key < out[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
-}
-
-// LiveWindows returns the number of windows holding state.
-func (ia *IncrementalAggregator) LiveWindows() int { return ia.ends.Len() }
-
-// LiveEntries returns the number of (key, window) partials held.
-func (ia *IncrementalAggregator) LiveEntries() int { return ia.state.Len() }
-
-// StateBytes estimates resident state: one Agg per (key, window) entry.
-func (ia *IncrementalAggregator) StateBytes() int64 {
-	const bytesPerEntry = 96 // Agg + table overhead, rounded up
-	return int64(ia.state.Len()) * bytesPerEntry
 }

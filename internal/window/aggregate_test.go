@@ -1,8 +1,10 @@
 package window
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/sim"
@@ -16,24 +18,24 @@ func ev(stream tuple.StreamID, user, pack, price int64, at time.Duration) *tuple
 	}
 }
 
-func TestIncrementalAggregatorPaperFigure1(t *testing.T) {
+func TestPaneAggregatorPaperFigure1(t *testing.T) {
 	// Figure 1: a 10-minute window receives keyed events; key=US gets
 	// prices 12, 20, 10 at times 580, 590, 600 and the SUM output is 42
 	// with event-time 600.  We reproduce with a 600s tumbling window.
 	asg := mustAssigner(t, 600*time.Second, 600*time.Second)
-	ia := NewIncrementalAggregator(asg)
+	pa := NewPaneAggregator(asg)
 	const us, ger, jpn = 1, 2, 3
-	ia.Add(ev(tuple.Purchases, 1, us, 12, 580*time.Second))
-	ia.Add(ev(tuple.Purchases, 2, us, 20, 590*time.Second))
-	ia.Add(ev(tuple.Purchases, 3, us, 10, 599*time.Second))
-	ia.Add(ev(tuple.Purchases, 4, ger, 43, 580*time.Second))
-	ia.Add(ev(tuple.Purchases, 5, ger, 20, 590*time.Second))
-	ia.Add(ev(tuple.Purchases, 6, ger, 20, 595*time.Second))
-	ia.Add(ev(tuple.Purchases, 7, jpn, 33, 580*time.Second))
-	ia.Add(ev(tuple.Purchases, 8, jpn, 20, 590*time.Second))
-	ia.Add(ev(tuple.Purchases, 9, jpn, 77, 599*time.Second))
+	pa.Add(ev(tuple.Purchases, 1, us, 12, 580*time.Second))
+	pa.Add(ev(tuple.Purchases, 2, us, 20, 590*time.Second))
+	pa.Add(ev(tuple.Purchases, 3, us, 10, 599*time.Second))
+	pa.Add(ev(tuple.Purchases, 4, ger, 43, 580*time.Second))
+	pa.Add(ev(tuple.Purchases, 5, ger, 20, 590*time.Second))
+	pa.Add(ev(tuple.Purchases, 6, ger, 20, 595*time.Second))
+	pa.Add(ev(tuple.Purchases, 7, jpn, 33, 580*time.Second))
+	pa.Add(ev(tuple.Purchases, 8, jpn, 20, 590*time.Second))
+	pa.Add(ev(tuple.Purchases, 9, jpn, 77, 599*time.Second))
 
-	res := ia.Fire(600 * time.Second)
+	res := pa.Fire(600 * time.Second)
 	if len(res) != 3 {
 		t.Fatalf("expected 3 keyed outputs, got %d", len(res))
 	}
@@ -53,13 +55,13 @@ func TestIncrementalAggregatorPaperFigure1(t *testing.T) {
 	}
 }
 
-func TestIncrementalAggregatorSlidingOverlap(t *testing.T) {
+func TestPaneAggregatorSlidingOverlap(t *testing.T) {
 	// (8s,4s): an event at t=5s contributes to windows ending at 8s and
 	// 12s; both fire with the same sum.
 	asg := mustAssigner(t, 8*time.Second, 4*time.Second)
-	ia := NewIncrementalAggregator(asg)
-	ia.Add(ev(tuple.Purchases, 1, 7, 100, 5*time.Second))
-	res := ia.Fire(12 * time.Second)
+	pa := NewPaneAggregator(asg)
+	pa.Add(ev(tuple.Purchases, 1, 7, 100, 5*time.Second))
+	res := pa.Fire(12 * time.Second)
 	if len(res) != 2 {
 		t.Fatalf("expected the event in 2 windows, got %d", len(res))
 	}
@@ -68,23 +70,23 @@ func TestIncrementalAggregatorSlidingOverlap(t *testing.T) {
 			t.Fatalf("bad window result: %+v", r)
 		}
 	}
-	if ia.LiveEntries() != 0 || ia.LiveWindows() != 0 {
+	if pa.LiveEntries() != 0 {
 		t.Fatal("fired state must be released")
 	}
 }
 
-func TestIncrementalAggregatorFireOnlyRipeWindows(t *testing.T) {
+func TestPaneAggregatorFireOnlyRipeWindows(t *testing.T) {
 	asg := mustAssigner(t, 8*time.Second, 4*time.Second)
-	ia := NewIncrementalAggregator(asg)
-	ia.Add(ev(tuple.Purchases, 1, 7, 1, 5*time.Second)) // windows 8s, 12s
-	res := ia.Fire(8 * time.Second)
+	pa := NewPaneAggregator(asg)
+	pa.Add(ev(tuple.Purchases, 1, 7, 1, 5*time.Second)) // windows 8s, 12s
+	res := pa.Fire(8 * time.Second)
 	if len(res) != 1 || res[0].Window.End != 8*time.Second {
 		t.Fatalf("only the 8s window should fire: %+v", res)
 	}
-	if ia.Fire(8*time.Second) != nil {
+	if pa.Fire(8*time.Second) != nil {
 		t.Fatal("re-firing the same watermark must yield nothing")
 	}
-	res = ia.Fire(12 * time.Second)
+	res = pa.Fire(12 * time.Second)
 	if len(res) != 1 || res[0].Window.End != 12*time.Second {
 		t.Fatalf("the 12s window should fire next: %+v", res)
 	}
@@ -92,12 +94,12 @@ func TestIncrementalAggregatorFireOnlyRipeWindows(t *testing.T) {
 
 func TestAggregatorWeightsAndCounts(t *testing.T) {
 	asg := mustAssigner(t, 4*time.Second, 4*time.Second)
-	ia := NewIncrementalAggregator(asg)
+	pa := NewPaneAggregator(asg)
 	e := ev(tuple.Purchases, 1, 7, 10, time.Second)
 	e.Weight = 500
-	ia.Add(e)
-	ia.Add(ev(tuple.Purchases, 2, 7, 5, 2*time.Second))
-	res := ia.Fire(4 * time.Second)
+	pa.Add(e)
+	pa.Add(ev(tuple.Purchases, 2, 7, 5, 2*time.Second))
+	res := pa.Fire(4 * time.Second)
 	if len(res) != 1 {
 		t.Fatalf("results: %+v", res)
 	}
@@ -118,44 +120,148 @@ func genEvents(seed uint64, n int, keys int, span time.Duration) []*tuple.Event 
 	return events
 }
 
-func TestPaneAggregatorEquivalenceProperty(t *testing.T) {
-	// The inverse-reduce/pane strategy must produce byte-identical
-	// results to the per-window incremental strategy (Experiment 3's
-	// claim that the Inverse Reduce Function fix is semantics-preserving).
-	f := func(seed uint16, sizeMul, slideRaw uint8) bool {
-		slide := time.Duration(int(slideRaw%4)+1) * time.Second
-		size := slide * time.Duration(int(sizeMul%4)+1)
-		asg, err := NewAssigner(size, slide)
-		if err != nil {
-			return false
+// refAggregator is a brute-force per-(key, window) reference for
+// PaneAggregator: every event is folded, field by field, into each window
+// Assigner.Assign gives it, and a fire collects and sorts the ripe cells.
+// It shares no state, fold or ordering code with the pane implementation.
+type refAggregator struct {
+	asg          Assigner
+	cells        map[[2]int64]Agg // (key, window end)
+	firedThrough time.Duration
+	lateDropped  int64
+}
+
+func (r *refAggregator) AddAt(e *tuple.Event, at time.Duration) int64 {
+	var live int64
+	for _, w := range r.asg.Assign(at) {
+		if w.End <= r.firedThrough {
+			r.lateDropped++
+			continue
 		}
-		events := genEvents(uint64(seed), 300, 5, 30*time.Second)
-		ia := NewIncrementalAggregator(asg)
-		pa := NewPaneAggregator(asg)
-		for _, e := range events {
-			ia.Add(e)
-			pa.Add(e)
-		}
-		wm := 40 * time.Second
-		ra, rb := ia.Fire(wm), pa.Fire(wm)
-		if len(ra) != len(rb) {
-			return false
-		}
-		for i := range ra {
-			if ra[i].Key != rb[i].Key || ra[i].Window != rb[i].Window {
-				return false
-			}
-			if ra[i].Agg.Sum != rb[i].Agg.Sum || ra[i].Agg.Count != rb[i].Agg.Count {
-				return false
-			}
-			if ra[i].Agg.Prov != rb[i].Agg.Prov {
-				return false
-			}
-		}
-		return true
+		live++
+		k := [2]int64{e.GemPackID, int64(w.End)}
+		c := r.cells[k]
+		c.Sum += e.Price
+		c.Count++
+		c.Weight += e.Weight
+		c.Prov.MaxEventTime = max(c.Prov.MaxEventTime, e.EventTime)
+		c.Prov.MaxProcTime = max(c.Prov.MaxProcTime, e.IngestTime)
+		r.cells[k] = c
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	return live
+}
+
+func (r *refAggregator) Fire(watermark time.Duration) []Result {
+	r.firedThrough = max(r.firedThrough, watermark)
+	var out []Result
+	for k, c := range r.cells {
+		if end := time.Duration(k[1]); end <= watermark {
+			out = append(out, Result{Key: k[0], Window: ID{End: end}, Agg: c})
+			delete(r.cells, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Window.End != out[j].Window.End {
+			return out[i].Window.End < out[j].Window.End
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// TestPaneAggregatorEquivalenceProperty drives PaneAggregator and the
+// brute-force per-window reference with the same random operations —
+// in-order, disordered and late events, arrival-time adds, row and batch
+// adds, stepped, stalled, backward and jumping watermarks, size/slide
+// ratios 1-4, and a Reset aggregator — and requires identical fired
+// results (sums, counts, weights, provenance, order), LateDropped and
+// per-event live-window counts throughout: pane sharing is
+// semantics-preserving (Experiment 3's Inverse Reduce fix).
+func TestPaneAggregatorEquivalenceProperty(t *testing.T) {
+	for c := 0; c < 400; c++ {
+		r := sim.NewRNG(uint64(c), "pane-ref")
+		slide := time.Duration(r.Intn(4)+1) * time.Second
+		asg := mustAssigner(t, slide*time.Duration(r.Intn(4)+1), slide)
+		got := NewPaneAggregator(asg)
+		if c%2 == 1 {
+			// A reused aggregator (driver.Probe) must behave like a new one.
+			other := mustAssigner(t, 2*time.Second, time.Second)
+			got.Reset(other)
+			got.Add(ev(tuple.Purchases, 1, 1, -1, 3*time.Second))
+			got.Add(ev(tuple.Purchases, 1, 2, -1, 9*time.Second))
+			got.Fire(5 * time.Second)
+			got.Add(ev(tuple.Purchases, 1, 1, -1, time.Second))
+			got.Reset(asg)
+		}
+		ref := &refAggregator{asg: asg, cells: map[[2]int64]Agg{}}
+		var now, wm time.Duration
+		batch := tuple.NewBatch(8)
+		event := func() *tuple.Event {
+			now += time.Duration(r.Intn(400)) * time.Millisecond
+			at := now
+			if r.Intn(4) == 0 {
+				// Disordered, often behind the watermark.
+				at -= time.Duration(r.Intn(int(3*asg.Size/time.Millisecond))) * time.Millisecond
+				at = max(at, 0)
+			}
+			e := ev(tuple.Purchases, int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(1000))-100, at)
+			e.Weight = int64(r.Intn(200)) + 1
+			e.IngestTime = now + time.Duration(r.Intn(50))*time.Millisecond
+			return e
+		}
+		for op := 0; op < 300; op++ {
+			where := fmt.Sprintf("case %d (size %v, slide %v) op %d", c, asg.Size, asg.Slide, op)
+			switch x := r.Intn(12); {
+			case x < 7:
+				e := event()
+				arrival := e.EventTime
+				if r.Intn(5) == 0 {
+					arrival = now
+				}
+				if g, w := got.AddAt(e, arrival), ref.AddAt(e, arrival); g != w {
+					t.Fatalf("%s: event joined %d windows, reference %d", where, g, w)
+				}
+			case x < 9:
+				// A pulled batch: rows at their own event time (Flink,
+				// ideal) or all at the shared arrival time (Spark).
+				batch.Reset()
+				for n := r.Intn(5) + 1; n > 0; n-- {
+					batch.Append(*event())
+				}
+				atArrival := r.Intn(2) == 0
+				if atArrival {
+					got.AddBatchAt(batch, now)
+				} else {
+					got.AddBatch(batch)
+				}
+				for i := 0; i < batch.Len(); i++ {
+					e := batch.Row(i)
+					if atArrival {
+						ref.AddAt(&e, now)
+					} else {
+						ref.AddAt(&e, e.EventTime)
+					}
+				}
+			default:
+				switch r.Intn(5) {
+				case 0:
+					wm -= time.Duration(r.Intn(5)) * time.Second // backwards: a no-op
+				case 1:
+					wm = now + time.Duration(r.Intn(4))*asg.Size // jump past everything
+				case 2:
+					// Stalled: the same watermark again.
+				default:
+					wm = now - time.Duration(r.Intn(int(asg.Size/time.Millisecond)))*time.Millisecond
+				}
+				fired, want := got.Fire(wm), ref.Fire(wm)
+				if !slices.Equal(fired, want) {
+					t.Fatalf("%s: fired at wm %v\n got %+v\nwant %+v", where, wm, fired, want)
+				}
+			}
+			if g, w := got.LateDropped(), ref.lateDropped; g != w {
+				t.Fatalf("%s: %d contributions dropped late, reference %d", where, g, w)
+			}
+		}
 	}
 }
 
@@ -202,40 +308,41 @@ func TestPaneAggregatorRetiresState(t *testing.T) {
 
 func TestStateBytesGrowth(t *testing.T) {
 	asg := mustAssigner(t, 8*time.Second, 4*time.Second)
-	ia := NewIncrementalAggregator(asg)
-	if ia.StateBytes() != 0 {
+	pa := NewPaneAggregator(asg)
+	if pa.StateBytes() != 0 {
 		t.Fatal("fresh aggregator should hold no state")
 	}
-	ia.Add(ev(tuple.Purchases, 1, 7, 1, time.Second))
-	if ia.StateBytes() <= 0 {
+	pa.Add(ev(tuple.Purchases, 1, 7, 1, time.Second))
+	if pa.StateBytes() <= 0 {
 		t.Fatal("state bytes must grow after Add")
 	}
 }
 
-// BenchmarkWindowAggregate measures the incremental-aggregation hot path:
-// Add into the (8s,4s) sliding windows with periodic firing, the exact
+// BenchmarkWindowAggregate measures the aggregation hot path: Add into
+// the (8s,4s) sliding windows' panes with periodic firing, the exact
 // shape of the Flink model's per-tick work.
 func BenchmarkWindowAggregate(b *testing.B) {
 	asg, err := NewAssigner(8*time.Second, 4*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ia := NewIncrementalAggregator(asg)
+	pa := NewPaneAggregator(asg)
 	const keys = 100
 	e := tuple.Event{Stream: tuple.Purchases, Weight: 20, Price: 7}
 	step := func(i int) {
 		e.GemPackID = int64(i % keys)
 		e.EventTime = time.Duration(i) * 100 * time.Microsecond
 		e.IngestTime = e.EventTime + time.Millisecond
-		ia.Add(&e)
+		pa.Add(&e)
 		// Fire every ~40k events (one slide's worth at this event rate).
 		if i%40_000 == 39_999 {
-			ia.Fire(e.EventTime - 8*time.Second)
+			pa.Fire(e.EventTime - 8*time.Second)
 		}
 	}
-	// Warm through several complete fire/retire cycles so state-map growth
-	// is not charged to the timed iterations (keeps the -benchtime=1x CI
-	// smoke at 0 allocs/op); the timed loop continues the same stream.
+	// Warm through several complete fire/retire cycles so state-table
+	// growth is not charged to the timed iterations (keeps the
+	// -benchtime=1x CI smoke at 0 allocs/op); the timed loop continues
+	// the same stream.
 	const warm = 200_000
 	for i := 0; i < warm; i++ {
 		step(i)
@@ -247,7 +354,7 @@ func BenchmarkWindowAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowBufferedAdd measures the buffered (Storm-style) path with
+// BenchmarkWindowBufferedAdd measures the buffered (join-side) path with
 // slab recycling: every fired window's slab is returned for reuse.
 func BenchmarkWindowBufferedAdd(b *testing.B) {
 	asg, err := NewAssigner(8*time.Second, 4*time.Second)
@@ -280,18 +387,17 @@ func BenchmarkWindowBufferedAdd(b *testing.B) {
 }
 
 // BenchmarkWindowKeyedFire measures the full keyed window lifecycle on
-// the flat-table state — Add across 100 keys, periodic Fire with the
-// reused result slab, and the buffered Aggregate scratch — the exact
-// per-fire shape of the Flink and Storm models.  Pinned at 0 allocs/op
-// by scripts/bench-smoke.sh: the fire path must not regress to per-fire
-// maps or fresh result slices.
+// the flat-table pane state — Add across 100 keys, then periodic Fire
+// assembling every window from its panes into the reused result slab —
+// the per-fire shape of every engine model's aggregation.  Pinned at
+// 0 allocs/op by scripts/bench-smoke.sh: the fire path must not regress
+// to per-fire maps or fresh result slices.
 func BenchmarkWindowKeyedFire(b *testing.B) {
 	asg, err := NewAssigner(8*time.Second, 4*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ia := NewIncrementalAggregator(asg)
-	bw := NewBufferedWindows(asg)
+	pa := NewPaneAggregator(asg)
 	const keys = 100
 	e := tuple.Event{Stream: tuple.Purchases, Weight: 20, Price: 7}
 	var fired int64
@@ -299,16 +405,10 @@ func BenchmarkWindowKeyedFire(b *testing.B) {
 		e.GemPackID = int64(i % keys)
 		e.EventTime = time.Duration(i) * 100 * time.Microsecond
 		e.IngestTime = e.EventTime + time.Millisecond
-		ia.Add(&e)
-		bw.Add(&e)
+		pa.Add(&e)
 		// Fire every ~40k events (one slide's worth at this event rate).
 		if i%40_000 == 39_999 {
-			wm := e.EventTime - 8*time.Second
-			fired += int64(len(ia.Fire(wm)))
-			for _, fw := range bw.Fire(wm) {
-				fired += int64(len(bw.Aggregate(fw)))
-				bw.Recycle(fw)
-			}
+			fired += int64(len(pa.Fire(e.EventTime - 8*time.Second)))
 		}
 	}
 	// Warm through several complete fire/retire cycles so table and slab

@@ -1,8 +1,8 @@
 // Package window implements the windowing substrate shared by the engine
-// models: sliding/tumbling window assignment over event time, incremental
-// (on-the-fly) aggregation as in Flink, fully-buffered window state as in
-// Storm, and pane-based aggregation with an inverse ("Inverse Reduce")
-// function as used to fix Spark's large-window behaviour in Experiment 3.
+// models: sliding/tumbling window assignment over event time, pane-based
+// aggregation (PaneAggregator, the one aggregation state every engine
+// deploys) and the windowed join's buffered two-stream state
+// (TwoStreamBuffer over BufferedWindows).
 package window
 
 import (
@@ -72,6 +72,20 @@ func (a Assigner) firstEnd(t time.Duration) time.Duration {
 // each sliding window is the concatenation of Size/Slide consecutive panes.
 func (a Assigner) PaneOf(t time.Duration) ID {
 	return ID{End: a.firstEnd(t)}
+}
+
+// paneWindows splits the windows fed by the pane ending at end — those
+// ending at end, end+Slide, ..., end+Size-Slide — into the live ones,
+// ending after the firing cursor firedThrough, and the late ones, which
+// have fired: an event assigned to the pane is lost to those (allowed
+// lateness zero).
+func (a Assigner) paneWindows(end, firedThrough time.Duration) (live, late int64) {
+	live = int64(a.WindowsPerEvent())
+	if firedThrough >= end {
+		late = min(int64((firedThrough-end)/a.Slide)+1, live)
+		live -= late
+	}
+	return live, late
 }
 
 // PanesOf returns the pane IDs making up window w, ascending.

@@ -9,12 +9,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// BufferedWindows retains every raw event of every live window and computes
-// the aggregate only when the window fires.  This models operators that do
-// not (or cannot) pre-aggregate: Storm UDF windows, and any engine's
-// windowed join input side.  Memory grows with rate × window size — which
-// is exactly why the Storm model hits node memory limits in the paper's
-// large-window experiment while Flink's incremental operator does not.
+// BufferedWindows retains every raw event of every live window and hands
+// the window's content over only when it fires.  It is one side of the
+// windowed join's state (TwoStreamBuffer): a join cannot pre-aggregate,
+// so every engine keeps its join inputs raw.  Memory grows with rate ×
+// window size, which StateBytes models.
 //
 // Each event is buffered once, by value, in the slab of its pane: the
 // slide-wide tumbling bucket (Assigner.PaneOf) containing its assignment
@@ -24,9 +23,9 @@ import (
 // last of them (the one whose oldest pane it is).  Callers may pass
 // pointers into reusable pull batches.
 //
-// The modelled footprint is still that of the paper's operators, which
-// keep one copy per (event, window): StateBytes counts every event once
-// for each window it belongs to that has not fired.
+// The modelled footprint is still that of an operator that keeps one copy
+// per (event, window): StateBytes counts every event once for each window
+// it belongs to that has not fired.
 type BufferedWindows struct {
 	asg Assigner
 	// panes maps pane end -> that pane's events.
@@ -42,13 +41,10 @@ type BufferedWindows struct {
 	lateDropped  int64
 	// fired and firedPanes are the per-fire scratch slabs (valid until
 	// the next Fire); paneEnds and ends are windowEnds' scratch.
-	// aggScratch/aggOut are Aggregate's reused per-fire state.
 	fired      []FiredWindow
 	firedPanes [][]tuple.Event
 	paneEnds   []time.Duration
 	ends       []time.Duration
-	aggScratch flat.Table[Agg]
-	aggOut     []Result
 }
 
 // pane is one slide-wide bucket of buffered events and their total weight.
@@ -61,10 +57,11 @@ type pane struct {
 // late arrival.
 func (bw *BufferedWindows) LateDropped() int64 { return bw.lateDropped }
 
-// bytesPerBufferedEvent is the modelled heap footprint of one buffered
-// event (object header, fields, slice slot); scaled by the event's Weight
-// because one simulated tuple stands for Weight real events.
-const bytesPerBufferedEvent = 120
+// BufferedEventBytes is the modelled heap footprint of one buffered
+// event in one window (object header, fields, slice slot); scaled by the
+// event's Weight because one simulated tuple stands for Weight real
+// events.  Storm's aggregation heap model charges the same per event.
+const BufferedEventBytes = 120
 
 // NewBufferedWindows builds empty buffered window state.
 func NewBufferedWindows(asg Assigner) *BufferedWindows {
@@ -86,7 +83,6 @@ func (bw *BufferedWindows) Reset(asg Assigner) {
 	bw.bytes = 0
 	bw.firedThrough = 0
 	bw.lateDropped = 0
-	bw.aggScratch.Reset()
 }
 
 // Add buffers the event in every window containing it and returns the
@@ -100,16 +96,10 @@ func (bw *BufferedWindows) Add(e *tuple.Event) int64 {
 // assignment is the right semantics.
 func (bw *BufferedWindows) AddAt(e *tuple.Event, at time.Duration) int64 {
 	end := bw.asg.PaneOf(at).End
-	// The event's windows end at end, end+Slide, ..., end+Size-Slide;
-	// those at or before the firing cursor have fired and lose it.
-	live := int64(bw.asg.WindowsPerEvent())
-	if bw.firedThrough >= end {
-		late := min(int64((bw.firedThrough-end)/bw.asg.Slide)+1, live)
-		bw.lateDropped += late
-		live -= late
-		if live == 0 {
-			return 0
-		}
+	live, late := bw.asg.paneWindows(end, bw.firedThrough)
+	bw.lateDropped += late
+	if live == 0 {
+		return 0
 	}
 	p, fresh := bw.panes.Upsert(flat.K(int64(end)))
 	if fresh {
@@ -117,7 +107,7 @@ func (bw *BufferedWindows) AddAt(e *tuple.Event, at time.Duration) int64 {
 	}
 	p.events = append(p.events, *e)
 	p.weight += e.Weight
-	grew := live * bytesPerBufferedEvent * e.Weight
+	grew := live * BufferedEventBytes * e.Weight
 	bw.bytes += grew
 	return grew
 }
@@ -197,7 +187,7 @@ func (bw *BufferedWindows) Fire(watermark time.Duration) []FiredWindow {
 				bw.panes.Delete(pk)
 			}
 		}
-		bw.bytes -= bytesPerBufferedEvent * fw.Weight
+		bw.bytes -= BufferedEventBytes * fw.Weight
 		bw.fired = append(bw.fired, fw)
 	}
 	return bw.fired
@@ -233,37 +223,4 @@ func (bw *BufferedWindows) StateBytes() int64 { return bw.bytes }
 // LiveWindows returns the number of unfired windows holding events.
 func (bw *BufferedWindows) LiveWindows() int {
 	return len(bw.windowEnds(bw.firedThrough, math.MaxInt64))
-}
-
-// Aggregate computes per-key SUM aggregates over a fired window's raw
-// events — what a Storm bolt does at trigger time — reusing the
-// receiver's scratch table and result slab instead of allocating per
-// fire.  Results are ordered by key for determinism; the returned slice
-// is valid until the next Aggregate call.
-func (bw *BufferedWindows) Aggregate(fw FiredWindow) []Result {
-	bw.aggScratch.Reset()
-	for _, events := range fw.Panes {
-		for i := range events {
-			e := &events[i]
-			g, _ := bw.aggScratch.Upsert(flat.K(e.Key()))
-			g.add(e)
-		}
-	}
-	bw.aggOut = bw.aggOut[:0]
-	bw.aggScratch.Range(func(k flat.Key, g *Agg) bool {
-		bw.aggOut = append(bw.aggOut, Result{Key: k.A, Window: fw.Window, Agg: *g})
-		return true
-	})
-	sortResults(bw.aggOut)
-	return bw.aggOut
-}
-
-// AggregateFired is the standalone form of BufferedWindows.Aggregate for
-// callers without a buffer instance (tests, oracles); it allocates its
-// own scratch per call.
-func AggregateFired(fw FiredWindow) []Result {
-	var bw BufferedWindows
-	out := bw.Aggregate(fw)
-	// Detach from the throwaway scratch so the result survives.
-	return append([]Result(nil), out...)
 }

@@ -40,7 +40,7 @@ func (bw *refBuffered) AddAt(e *tuple.Event, at time.Duration) int64 {
 		}
 		s, _ := bw.buf.Upsert(flat.K(int64(w.End)))
 		*s = append(*s, *e)
-		grew += bytesPerBufferedEvent * e.Weight
+		grew += BufferedEventBytes * e.Weight
 	}
 	bw.bytes += grew
 	return grew
@@ -55,7 +55,7 @@ func (bw *refBuffered) Fire(watermark time.Duration) []refFired {
 		if end := time.Duration(k.A); end <= watermark {
 			fired = append(fired, refFired{Window: ID{End: end}, Events: *events})
 			for i := range *events {
-				bw.bytes -= bytesPerBufferedEvent * (*events)[i].Weight
+				bw.bytes -= BufferedEventBytes * (*events)[i].Weight
 			}
 			bw.buf.Delete(k)
 		}
@@ -164,7 +164,7 @@ func TestBufferedMatchesPerWindowReference(t *testing.T) {
 func TestBufferedEventStoredOnce(t *testing.T) {
 	asg := mustAssigner(t, 8*time.Second, 4*time.Second)
 	bw := NewBufferedWindows(asg)
-	if grew := bw.Add(ev(tuple.Purchases, 1, 5, 10, 5*time.Second)); grew != 2*bytesPerBufferedEvent {
+	if grew := bw.Add(ev(tuple.Purchases, 1, 5, 10, 5*time.Second)); grew != 2*BufferedEventBytes {
 		t.Fatalf("one event in two windows must model two copies, grew %d", grew)
 	}
 	first := bw.Fire(8 * time.Second)
@@ -176,7 +176,7 @@ func TestBufferedEventStoredOnce(t *testing.T) {
 	}
 	shared := &first[0].Panes[1][0]
 	bw.Recycle(first[0]) // its oldest pane is empty: nothing to recycle
-	if bw.StateBytes() != bytesPerBufferedEvent || bw.panes.Len() != 1 {
+	if bw.StateBytes() != BufferedEventBytes || bw.panes.Len() != 1 {
 		t.Fatalf("pane 8s must stay live for window 12s: %d B, %d panes", bw.StateBytes(), bw.panes.Len())
 	}
 	second := bw.Fire(12 * time.Second)

@@ -298,6 +298,12 @@ func (tb *TwoStreamBuffer) HashJoin(fw FiredJoinWindow) []JoinResult {
 	return tb.joiner.HashJoin(fw.Window, fw.Purchases, fw.Ads)
 }
 
+// LateDropped returns the (event, window) contributions both sides lost
+// to late arrival.
+func (tb *TwoStreamBuffer) LateDropped() int64 {
+	return tb.Purchases.LateDropped() + tb.Ads.LateDropped()
+}
+
 // StateBytes returns total buffered bytes across both sides.
 func (tb *TwoStreamBuffer) StateBytes() int64 {
 	return tb.Purchases.StateBytes() + tb.Ads.StateBytes()
