@@ -26,7 +26,7 @@ build:
 test:
 	$(GO) test ./...
 
-# One iteration of the hot-path microbenchmarks with -benchmem; fails on
+# 100 iterations of each hot-path microbenchmark with -benchmem; fails on
 # any non-zero allocs/op (the alloc-regression gate).
 bench-smoke:
 	scripts/bench-smoke.sh

@@ -390,9 +390,7 @@ func (p *Probe) Run(ctx context.Context, eng engine.Engine, cfg Config) (*Result
 
 	res.Generated = gen.TotalWeight()
 	res.Ingested = sources.TotalOut()
-	if ld, ok := job.(interface{ LateDropped() int64 }); ok {
-		res.LateDropped = ld.LateDropped()
-	}
+	res.LateDropped = job.LateDropped()
 	res.CPU = cl.CPUSeries()
 	res.Net = cl.NetSeries()
 	res.Extra = job.ExtraSeries()

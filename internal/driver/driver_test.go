@@ -252,24 +252,51 @@ func TestRunWithBrokerInterposed(t *testing.T) {
 	}
 }
 
+// TestRunDisorderAndSlack pins late-drop reporting on every engine and
+// both queries.  With 30% of events displaced by up to 1 s, the
+// event-time engines drop late contributions without watermark slack and
+// none with 1.2 s of it.  Spark windows by arrival time, so it never
+// drops anything.
 func TestRunDisorderAndSlack(t *testing.T) {
-	cfg := quickConfig(0.4e6)
-	cfg.DisorderProb = 0.3
-	cfg.DisorderMax = time.Second
-	res, err := Run(flink.New(flink.Options{}), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LateDropped == 0 {
-		t.Fatal("disorder without slack should lose window contributions")
-	}
-	cfg.WatermarkSlack = 1200 * time.Millisecond
-	res2, err := Run(flink.New(flink.Options{}), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.LateDropped >= res.LateDropped {
-		t.Fatalf("slack should reduce late drops: %d vs %d", res2.LateDropped, res.LateDropped)
+	for _, eng := range []engine.Engine{
+		flink.New(flink.Options{}),
+		storm.New(storm.Options{}),
+		ideal.New(),
+		spark.New(spark.Options{}),
+	} {
+		for _, qt := range []workload.Type{workload.Aggregation, workload.Join} {
+			t.Run(eng.Name()+"/"+qt.String(), func(t *testing.T) {
+				cfg := quickConfig(0.3e6)
+				cfg.Query = workload.Default(qt)
+				cfg.DisorderProb = 0.3
+				cfg.DisorderMax = time.Second
+				late := func(slack time.Duration) int64 {
+					cfg.WatermarkSlack = slack
+					res, err := Run(eng, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Failed {
+						t.Fatalf("run failed: %s", res.FailReason)
+					}
+					return res.LateDropped
+				}
+				without, with := late(0), late(1200*time.Millisecond)
+				t.Logf("late drops: %d without slack, %d with 1.2 s", without, with)
+				if eng.Name() == "spark" {
+					if without != 0 || with != 0 {
+						t.Fatalf("arrival-time windows dropped %d events without slack, %d with", without, with)
+					}
+					return
+				}
+				if without == 0 {
+					t.Fatal("disorder without slack should lose window contributions")
+				}
+				if with != 0 {
+					t.Fatalf("1.2 s of slack covers a 1 s displacement, yet %d contributions dropped (%d without)", with, without)
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package engine defines the SPI every simulated stream processing engine
-// implements, plus the runtime machinery the three engine models share: a
-// tick-driven ingestion loop over the driver queues, watermark tracking,
-// capacity laws calibrated against the paper's measurements, hot-key
-// tracking for the skew experiment, and output emission helpers that apply
-// the paper's Definitions 3/4 provenance.
+// implements, plus the one deployment scaffold (Runtime, built by
+// NewRuntime) every engine model embeds: a tick-driven ingestion loop over
+// the driver queues, the engine's cost models and the query's window
+// state, watermark tracking, capacity laws calibrated against the paper's
+// measurements, hot-key tracking for the skew experiment, and output
+// emission helpers that apply the paper's Definitions 3/4 provenance.
 //
 // The engine models (subpackages storm, spark, flink) are behavioural
 // simulations, not reimplementations of the JVM systems: each one
@@ -76,15 +77,15 @@ type Config struct {
 	// Rescale, when non-nil, is the run's elastic-rescaling plan: the
 	// runtime switches the cluster's active worker count at each step's
 	// virtual time and pays the engine's modeled transition cost
-	// (RescaleModeler) by stalling ingestion for the transition window.
+	// (Engine.Rescale) by stalling ingestion for the transition window.
 	// nil is the static, rescale-free run; the cluster must be
 	// provisioned for the plan's maximum worker count.
 	Rescale *fault.RescalePlan
 }
 
 // Mem is the per-probe arena of engine state that survives between runs:
-// the Runtime (with its pull batch and hot-key table), the window
-// operator pool, and named scratch queues.  A Mem must only ever be used
+// the Runtime (with its pull batch, hot-key table and fault vector), the
+// window operator pool, and named scratch queues.  A Mem must only ever be used
 // by one run at a time; driver.Probe enforces that by construction.
 type Mem struct {
 	rt      *Runtime
@@ -94,9 +95,6 @@ type Mem struct {
 
 // NewMem returns an empty arena.
 func NewMem() *Mem { return &Mem{queues: make(map[string]*queue.Queue)} }
-
-// Pool returns the window-state pool of the deployment's arena.
-func (c Config) Pool() *window.Pool { return &c.Mem.windows }
 
 // ScratchQueue returns an empty unbounded queue for engine-internal
 // buffering (e.g. Storm's spout in-flight buffer), recycled from the
@@ -145,31 +143,24 @@ type Engine interface {
 	// Name is the engine's display name ("storm", "spark", "flink").
 	Name() string
 	// Deploy builds and wires a job on the kernel.  The job does not
-	// start pulling until Start is called.
+	// start pulling until Start is called.  Every model builds its job
+	// on NewRuntime, which binds the two cost models below.
 	Deploy(k *sim.Kernel, cfg Config) (Job, error)
-}
-
-// RecoveryModeler is implemented by engines whose deployments carry a
-// state-recovery cost model (all four models do).  The scenario layer uses
-// it to derive the per-engine restore metrics of the recovery-series
-// measure without deploying anything; the same Recovery is bound to the
-// runtime at Deploy, so the derived metrics and the injected restore tails
-// always agree.
-type RecoveryModeler interface {
+	// Recovery is the engine's state-recovery cost model.  NewRuntime
+	// binds it to every deployment, and the scenario layer derives the
+	// per-engine restore metrics of the recovery-series measure from it
+	// without deploying anything, so the derived metrics and the
+	// injected restore tails always agree.
 	Recovery() fault.Recovery
-}
-
-// RescaleModeler is implemented by engines whose deployments carry an
-// elastic-rescaling cost model (all four models do).  The scenario layer
-// uses it to derive the per-engine transition metrics of the
-// recovery-series measure without deploying anything; the same Rescale is
-// bound to the runtime at Deploy, so the derived metrics and the injected
-// transition stalls always agree.
-type RescaleModeler interface {
+	// Rescale is the engine's elastic-rescaling cost model, bound and
+	// derived the same way: the transition metrics of the
+	// recovery-series measure and the injected transition stalls come
+	// from the one model.
 	Rescale() fault.Rescale
 }
 
-// Job is one running benchmark query on one engine.
+// Job is one running benchmark query on one engine.  The Runtime every
+// model embeds implements all of it but Start.
 type Job interface {
 	// Start begins ingestion and processing.
 	Start()
@@ -183,6 +174,10 @@ type Job interface {
 	// figures need (e.g. Spark's scheduler delay for Figure 11).  Keys
 	// are series names; may be empty, never nil entries.
 	ExtraSeries() map[string]*metrics.Series
+	// LateDropped returns the number of simulated (event, window)
+	// contributions dropped because they arrived after every window
+	// containing them had fired.
+	LateDropped() int64
 }
 
 // CapacityLaw models an engine's CPU-side sustainable processing rate as a

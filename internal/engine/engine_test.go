@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/tuple"
@@ -224,6 +225,66 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
+// stubEngine carries the two cost models NewRuntime binds; its Deploy is
+// never called.
+type stubEngine struct{}
+
+func (stubEngine) Name() string                            { return "stub" }
+func (stubEngine) Deploy(*sim.Kernel, Config) (Job, error) { return nil, nil }
+func (stubEngine) Recovery() fault.Recovery                { return fault.Recovery{Kind: fault.RecoveryReplay} }
+func (stubEngine) Rescale() fault.Rescale                  { return fault.Rescale{Kind: fault.RescaleRebalance} }
+
+func newTestRuntime(t *testing.T, k *sim.Kernel, cfg Config) *Runtime {
+	t.Helper()
+	rt, err := NewRuntime(k, cfg, stubEngine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestNewRuntimeRecyclesArena pins the one reset path: a second
+// deployment on the same arena gets the same Runtime back with only the
+// arena's buffers carried over — no watermark, failure, budget carry or
+// window state from the previous run — and the new query's window state,
+// fabric bound and the engine's cost models bound.
+func TestNewRuntimeRecyclesArena(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Mem = NewMem()
+	rt := newTestRuntime(t, sim.NewKernel(1), cfg)
+	if rt.Agg == nil || rt.Join != nil || rt.NetCap != cfg.Cluster.NetworkEventCap(1) {
+		t.Fatalf("aggregation deployment: Agg %v Join %v NetCap %v", rt.Agg, rt.Join, rt.NetCap)
+	}
+	if rt.Recovery.Kind != fault.RecoveryReplay || rt.Rescale.Kind != fault.RescaleRebalance {
+		t.Fatalf("cost models not bound: %+v %+v", rt.Recovery, rt.Rescale)
+	}
+	cfg.Sources.Queue(0).Push(tuple.Event{GemPackID: 5, EventTime: time.Second, Weight: 10})
+	rt.Pull(10, time.Second)
+	rt.TupleBudget(333, 7)
+	rt.CPUPerMEvent = 99
+	rt.Fail("boom")
+
+	cfg.Query = workload.Default(workload.Join)
+	rt2 := newTestRuntime(t, sim.NewKernel(2), cfg)
+	if rt2 != rt {
+		t.Fatal("the arena's runtime was not recycled")
+	}
+	if failed, _ := rt2.Failed(); failed || rt2.Watermark != 0 || rt2.carry != 0 || rt2.CPUPerMEvent != 30 {
+		t.Fatalf("recycled runtime kept run state: failed %v watermark %v carry %v cpu %v",
+			failed, rt2.Watermark, rt2.carry, rt2.CPUPerMEvent)
+	}
+	if rt2.HotKeys.HotShare() != 0 || rt2.pullBatch.Len() != 0 {
+		t.Fatal("recycled hot-key table or pull batch not reset")
+	}
+	if rt2.Agg != nil || rt2.Join == nil || rt2.NetCap >= cfg.Cluster.NetworkEventCap(1) {
+		t.Fatalf("join deployment: Agg %v Join %v NetCap %v", rt2.Agg, rt2.Join, rt2.NetCap)
+	}
+	cfg.Sink = nil
+	if _, err := NewRuntime(sim.NewKernel(3), cfg, stubEngine{}); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(t)
 	if err := good.Validate(); err != nil {
@@ -253,7 +314,7 @@ func TestConfigValidate(t *testing.T) {
 func TestRuntimePullStampsAndTracks(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := testConfig(t).WithDefaults()
-	rt := NewRuntime(k, cfg)
+	rt := newTestRuntime(t, k, cfg)
 	cfg.Sources.Queue(0).Push(tuple.Event{GemPackID: 5, EventTime: time.Second, Weight: 10})
 	cfg.Sources.Queue(1).Push(tuple.Event{GemPackID: 5, EventTime: 2 * time.Second, Weight: 10})
 
@@ -277,7 +338,7 @@ func TestRuntimePullStampsAndTracks(t *testing.T) {
 func TestRuntimeTupleBudgetLongRunExact(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := testConfig(t).WithDefaults()
-	rt := NewRuntime(k, cfg)
+	rt := newTestRuntime(t, k, cfg)
 	// 333 ev/s at weight 7 and 10ms ticks: budget per tick is fractional;
 	// the carry must keep the long-run total exact.
 	total := 0
@@ -296,7 +357,7 @@ func TestRuntimeTupleBudgetLongRunExact(t *testing.T) {
 func TestRuntimeFailAndStop(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := testConfig(t).WithDefaults()
-	rt := NewRuntime(k, cfg)
+	rt := newTestRuntime(t, k, cfg)
 	ticks := 0
 	rt.Start(func(now sim.Time) { ticks++ })
 	k.Run(100 * time.Millisecond)
@@ -321,7 +382,7 @@ func TestRuntimeEmitAggProvenance(t *testing.T) {
 	cfg := testConfig(t).WithDefaults()
 	var got *tuple.Output
 	cfg.Sink = func(o *tuple.Output) { got = o }
-	rt := NewRuntime(k, cfg)
+	rt := newTestRuntime(t, k, cfg)
 	r := window.Result{
 		Key:    7,
 		Window: window.ID{End: 8 * time.Second},

@@ -35,10 +35,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/window"
-	"repro/internal/workload"
 )
 
 // Options tune the engine model; zero values mean paper defaults.
@@ -81,7 +78,7 @@ func (e *Engine) Name() string { return "flink" }
 // state backend and rebuild operator state.
 const restoreCost = 2 * time.Second
 
-// Recovery implements engine.RecoveryModeler: Flink restores a crashed
+// Recovery implements engine.Engine: Flink restores a crashed
 // worker from the last periodic checkpoint, paying a fixed reload cost plus
 // the expected half checkpoint interval of lost progress.  The interval is
 // the same knob the exactly-once barrier machinery uses, so tightening
@@ -95,7 +92,7 @@ func (e *Engine) Recovery() fault.Recovery {
 	}
 }
 
-// Rescale implements engine.RescaleModeler: Flink changes parallelism by
+// Rescale implements engine.Engine: Flink changes parallelism by
 // stopping the job on a savepoint and restoring it at the new worker
 // count — the most expensive mechanism of the four (state is written out,
 // redistributed and reloaded), and a full stop: ingestion is dark for the
@@ -156,15 +153,11 @@ func transientsFor(n int) engine.TransientModel {
 }
 
 type job struct {
-	rt   *engine.Runtime
+	*engine.Runtime
 	opts Options
 	rng  *sim.RNG
 
-	agg     *window.PaneAggregator
-	joinBuf *window.TwoStreamBuffer
-
 	cpuLaw engine.CapacityLaw
-	netCap float64
 
 	transients *engine.Transients
 	margin     float64
@@ -181,31 +174,22 @@ type job struct {
 
 // Deploy implements engine.Engine.
 func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	rt, err := engine.NewRuntime(k, cfg, e)
+	if err != nil {
 		return nil, err
 	}
 	j := &job{
-		rt:        engine.NewRuntime(k, cfg),
+		Runtime:   rt,
 		opts:      e.opts,
 		rng:       k.RNG("flink"),
+		cpuLaw:    aggCPULaw,
 		skewSince: -1,
 	}
-	j.rt.CPUPerMEvent = cpuPerMEvent
-	j.rt.Recovery = e.Recovery()
-	j.rt.Rescale = e.Rescale()
-	asg := cfg.Query.Assigner()
-	switch cfg.Query.Type {
-	case workload.Join:
-		j.joinBuf = cfg.Pool().TwoStream(asg)
+	j.CPUPerMEvent = cpuPerMEvent
+	if j.Join != nil {
 		j.cpuLaw = joinCPULaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
-	default:
-		j.agg = cfg.Pool().Pane(asg)
-		j.cpuLaw = aggCPULaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1)
 	}
-	model := transientsFor(cfg.Cluster.Workers())
+	model := transientsFor(j.Cfg.Cluster.Workers())
 	j.transients = engine.NewTransients(model, j.rng, k.Now())
 	// Only the GC pauses cost ingestion capacity; slowdown episodes stall
 	// emission, not ingestion, so the margin compensates GC alone.
@@ -216,35 +200,17 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 }
 
 // Start implements engine.Job.
-func (j *job) Start() { j.rt.Start(j.tick) }
-
-// Stop implements engine.Job.
-func (j *job) Stop() { j.rt.Stop() }
-
-// Failed implements engine.Job.
-func (j *job) Failed() (bool, string) { return j.rt.Failed() }
-
-// ExtraSeries implements engine.Job.
-func (j *job) ExtraSeries() map[string]*metrics.Series { return nil }
-
-// LateDropped returns the number of simulated events dropped because they
-// arrived after every window containing them had fired.
-func (j *job) LateDropped() int64 {
-	if j.agg != nil {
-		return j.agg.LateDropped()
-	}
-	return j.joinBuf.LateDropped()
-}
+func (j *job) Start() { j.Runtime.Start(j.tick) }
 
 // capacity returns this tick's effective ingestion capacity in events/s.
 func (j *job) capacity(now sim.Time) float64 {
-	n := j.rt.Cfg.Cluster.Workers()
+	n := j.Cfg.Cluster.Workers()
 	cap := j.cpuLaw.Cap(n)
-	if cap > j.netCap {
-		cap = j.netCap
+	if cap > j.NetCap {
+		cap = j.NetCap
 	}
 	// Keyed exchange: one key lives on one slot (Experiment 4).
-	cap = engine.SlotConstraint(cap, slotCap, j.rt.HotKeys.HotShare())
+	cap = engine.SlotConstraint(cap, slotCap, j.HotKeys.HotShare())
 	// Raw capacity carries the GC-compensation margin so the net
 	// sustainable rate stays on the paper's anchors.
 	cap *= j.margin
@@ -278,49 +244,49 @@ func (j *job) capacity(now sim.Time) float64 {
 
 func (j *job) tick(now sim.Time) {
 	cap := j.capacity(now)
-	budget := j.rt.TupleBudget(cap, j.rt.Cfg.EventWeight)
-	batch, _ := j.rt.Pull(budget, now)
+	budget := j.TupleBudget(cap, j.Cfg.EventWeight)
+	batch, _ := j.Pull(budget, now)
 
-	if j.agg != nil {
-		j.agg.AddBatch(batch)
+	if j.Agg != nil {
+		j.Agg.AddBatch(batch)
 		if j.emissionStalled {
 			return
 		}
 		// Operator chaining: results leave on the same tick the
 		// watermark passes, plus the network buffer flush delay.
-		for _, r := range j.agg.Fire(j.rt.FireWatermark()) {
-			j.rt.EmitAgg(r, j.emitTime(now))
+		for _, r := range j.Agg.Fire(j.FireWatermark()) {
+			j.EmitAgg(r, j.emitTime(now))
 		}
 		return
 	}
 
 	// Windowed join.
-	j.joinBuf.AddBatch(batch)
+	j.Join.AddBatch(batch)
 	j.checkJoinSkew(now)
 	if j.emissionStalled {
 		return
 	}
-	for _, fw := range j.joinBuf.Fire(j.rt.FireWatermark()) {
-		results := j.joinBuf.HashJoin(fw)
+	for _, fw := range j.Join.Fire(j.FireWatermark()) {
+		results := j.Join.HashJoin(fw)
 		// Joins are substantially more expensive than aggregations
 		// (Experiment 2: "a significant latency increase in Flink when
 		// compared to windowed aggregation experiments"): the fired
 		// window's two sides are built, probed and the result volume
 		// pushed to the sink, so emission stretches over a large part
 		// of the window span, proportional to the window's fill level.
-		loadFactor := float64(fw.Weight) / (j.cpuLaw.Cap(j.rt.Cfg.Cluster.Workers()) * j.rt.Cfg.Query.WindowSize.Seconds())
+		loadFactor := float64(fw.Weight) / (j.cpuLaw.Cap(j.Cfg.Cluster.Workers()) * j.Cfg.Query.WindowSize.Seconds())
 		if loadFactor > 1.5 {
 			loadFactor = 1.5
 		}
-		span := float64(j.rt.Cfg.Query.WindowSize)
+		span := float64(j.Cfg.Query.WindowSize)
 		for _, r := range results {
 			// Uniform from zero: the first probe matches stream out
 			// almost immediately (the paper's 0.01s minimum), the
 			// last after most of a window span.
 			delay := time.Duration(0.9 * j.rng.Float64() * span * loadFactor)
-			j.rt.EmitJoin(r, now+delay)
+			j.EmitJoin(r, now+delay)
 		}
-		j.joinBuf.Recycle(fw)
+		j.Join.Recycle(fw)
 	}
 }
 
@@ -335,7 +301,7 @@ func (j *job) emitTime(now sim.Time) time.Duration {
 // split, memory fills, and "the backpressure mechanism lacks to perform
 // efficiently".
 func (j *job) checkJoinSkew(now sim.Time) {
-	if j.rt.HotKeys.HotShare() < joinSkewCritical {
+	if j.HotKeys.HotShare() < joinSkewCritical {
 		j.skewSince = -1
 		return
 	}
@@ -344,7 +310,7 @@ func (j *job) checkJoinSkew(now sim.Time) {
 		return
 	}
 	if now-j.skewSince > joinSkewStallAfter {
-		j.rt.Fail("unresponsive: single-key join state cannot be partitioned across slots")
+		j.Fail("unresponsive: single-key join state cannot be partitioned across slots")
 	}
 }
 

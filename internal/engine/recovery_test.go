@@ -19,7 +19,7 @@ import (
 // reload + half a checkpoint interval), record replay (Storm) and lineage
 // recompute (Spark) scale with the outage, and the ideal engine is free.
 func TestPerEngineRecoveryModels(t *testing.T) {
-	models := map[string]engine.RecoveryModeler{
+	models := map[string]engine.Engine{
 		"flink": flink.New(flink.Options{}),
 		"spark": spark.New(spark.Options{}),
 		"storm": storm.New(storm.Options{}),
@@ -35,7 +35,7 @@ func TestPerEngineRecoveryModels(t *testing.T) {
 	restore := map[string]time.Duration{}
 	for name, m := range models {
 		rec := m.Recovery()
-		if rec.Kind != wantKind[name] && !(name == "ideal" && rec.Kind == "") {
+		if rec.Kind != wantKind[name] {
 			t.Errorf("%s recovery kind = %q, want %q", name, rec.Kind, wantKind[name])
 		}
 		restore[name] = rec.Restore(down)

@@ -4,16 +4,20 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tuple"
 	"repro/internal/window"
+	"repro/internal/workload"
 )
 
-// Runtime bundles the moving parts every engine model shares: the tick
-// loop, source pulling with ingestion stamping, watermark tracking, hot-key
-// observation, CPU/network accounting, and sink emission with
-// Definition 3/4 provenance.  Engine models embed a Runtime and supply the
-// per-tick behaviour that makes them themselves.
+// Runtime is the one deployment scaffold every engine model builds on: the
+// tick loop, source pulling with ingestion stamping, watermark tracking,
+// hot-key observation, CPU/network accounting, the engine's cost models,
+// the query's window state and fabric bound, and sink emission with
+// Definition 3/4 provenance.  It implements every Job method but Start:
+// an engine model's job embeds *Runtime, adds only its own state, and
+// supplies the per-tick behaviour and capacity that make it itself.
 type Runtime struct {
 	K   *sim.Kernel
 	Cfg Config
@@ -35,19 +39,26 @@ type Runtime struct {
 	// through the engine (ingest + shuffle).
 	NetBytesPerEvent float64
 
-	// Recovery is the engine's state-recovery cost model, set by the
-	// engine model at deploy time.  It only matters to checkpoint-restore
-	// fault events: a restarted worker stays at zero capacity for
-	// Recovery.Restore(outage) after its restart.  The zero value is
-	// instant recovery (the ideal engine).
+	// Recovery is the engine's state-recovery cost model
+	// (Engine.Recovery).  It only matters to checkpoint-restore fault
+	// events: a restarted worker stays at zero capacity for
+	// Recovery.Restore(outage) after its restart.
 	Recovery fault.Recovery
 
-	// Rescale is the engine's elastic-rescaling cost model, set by the
-	// engine model at deploy time.  It only matters when Cfg.Rescale
-	// carries a plan: each step stalls ingestion by the model's Stall
-	// factor for the modeled transition time.  The zero value rescales
-	// instantly (the ideal engine).
+	// Rescale is the engine's elastic-rescaling cost model
+	// (Engine.Rescale).  It only matters when Cfg.Rescale carries a plan:
+	// each step stalls ingestion by the model's Stall factor for the
+	// modeled transition time.
 	Rescale fault.Rescale
+
+	// Agg is the aggregation query's window state and Join the join
+	// query's; exactly one is non-nil.  Both come from the arena's pool.
+	Agg  *window.PaneAggregator
+	Join *window.TwoStreamBuffer
+	// NetCap is the fabric bound on the ingest rate in real events/s:
+	// the join's outputs cross the wire too, which lowers its bound
+	// (Table III).
+	NetCap float64
 
 	ticker     *sim.Ticker
 	failed     bool
@@ -82,54 +93,48 @@ type Runtime struct {
 	out tuple.Output
 }
 
-// NewRuntime wires a runtime, recycled from cfg.Mem's arena (pull batch,
-// hot-key table, emission scratch) after the arena's first run.  cfg must
-// already carry defaults.
-func NewRuntime(k *sim.Kernel, cfg Config) *Runtime {
-	m := cfg.Mem
-	if m.rt == nil {
-		m.rt = freshRuntime(k, cfg)
-	} else {
-		m.rt.rebind(k, cfg)
+// NewRuntime applies cfg's defaults, validates it and deploys eng's
+// scaffold for one run: the runtime recycled from cfg.Mem's arena (only
+// its pull batch, hot-key table and fault vector carry over from the
+// arena's previous run), eng's cost models, and the query's window state
+// and fabric bound.  Models read the defaulted config back as rt.Cfg.
+func NewRuntime(k *sim.Kernel, cfg Config, eng Engine) (*Runtime, error) {
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return m.rt
-}
-
-func freshRuntime(k *sim.Kernel, cfg Config) *Runtime {
-	return &Runtime{
+	rt := cfg.Mem.rt
+	if rt == nil {
+		rt = &Runtime{HotKeys: NewHotKeyTracker(), pullBatch: tuple.NewBatch(1024)}
+		cfg.Mem.rt = rt
+	}
+	rt.HotKeys.Reset()
+	rt.pullBatch.Reset()
+	*rt = Runtime{
 		K:                k,
 		Cfg:              cfg,
-		HotKeys:          NewHotKeyTracker(),
+		HotKeys:          rt.HotKeys,
 		CPUPerMEvent:     30,
 		NetBytesPerEvent: float64(tuple.WireSizeBytes),
-		pullBatch:        tuple.NewBatch(1024),
-		decayEvery:       1000,
+		Recovery:         eng.Recovery(),
+		Rescale:          eng.Rescale(),
+		pullBatch:        rt.pullBatch,
+		faultBuf:         rt.faultBuf,
 		rescaleFactor:    1,
+		decayEvery:       1000,
 	}
-}
-
-// rebind resets a recycled runtime to the fresh-construction state for a
-// new run, keeping the grown pull batch and hot-key table.
-func (rt *Runtime) rebind(k *sim.Kernel, cfg Config) {
-	rt.K = k
-	rt.Cfg = cfg
-	rt.Watermark = 0
-	rt.HotKeys.Reset()
-	rt.CPUPerMEvent = 30
-	rt.NetBytesPerEvent = float64(tuple.WireSizeBytes)
-	rt.Recovery = fault.Recovery{}
-	rt.Rescale = fault.Rescale{}
-	rt.rescaleBase = 0
-	rt.rescaleFactor = 1
-	rt.ticker = nil
-	rt.failed = false
-	rt.failReason = ""
-	rt.stopped = false
-	rt.carry = 0
-	rt.pullBatch.Reset()
-	rt.decayEvery = 1000
-	rt.sinceDecay = 0
-	rt.out = tuple.Output{}
+	asg := cfg.Query.Assigner()
+	switch cfg.Query.Type {
+	case workload.Join:
+		rt.Join = cfg.Mem.windows.TwoStream(asg)
+		// Join results cross the fabric too: the wire amplification
+		// grows with the query's selectivity.
+		rt.NetCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
+	default:
+		rt.Agg = cfg.Mem.windows.Pane(asg)
+		rt.NetCap = cfg.Cluster.NetworkEventCap(1)
+	}
+	return rt, nil
 }
 
 // Start runs fn every cfg.Tick until Stop or failure.  When the config
@@ -156,7 +161,7 @@ func (rt *Runtime) Start(fn func(now sim.Time)) {
 	})
 }
 
-// Stop halts the tick loop.
+// Stop implements engine.Job: it halts the tick loop.
 func (rt *Runtime) Stop() {
 	rt.stopped = true
 	if rt.ticker != nil {
@@ -173,8 +178,20 @@ func (rt *Runtime) Fail(reason string) {
 	}
 }
 
-// Failed implements part of the Job interface.
+// Failed implements engine.Job.
 func (rt *Runtime) Failed() (bool, string) { return rt.failed, rt.failReason }
+
+// LateDropped implements engine.Job from the query's window state.
+func (rt *Runtime) LateDropped() int64 {
+	if rt.Agg != nil {
+		return rt.Agg.LateDropped()
+	}
+	return rt.Join.LateDropped()
+}
+
+// ExtraSeries implements engine.Job: no engine-internal series.  A model
+// that records one (Spark's scheduler delay) overrides it.
+func (rt *Runtime) ExtraSeries() map[string]*metrics.Series { return nil }
 
 // TupleBudget converts a capacity in real events/second into a whole number
 // of simulated tuples for one tick, carrying the fraction so long-run rates

@@ -79,7 +79,7 @@ func (e *Engine) Name() string { return "spark" }
 // still materialised.
 const lineageRecomputeFactor = 0.6
 
-// Recovery implements engine.RecoveryModeler: Spark recomputes lost
+// Recovery implements engine.Engine: Spark recomputes lost
 // partitions from lineage, so restore time is proportional to the progress
 // lost while the worker was down (the paper's §5 contrast with Flink's
 // checkpoint restore — cheap for short outages, expensive for long ones).
@@ -87,7 +87,7 @@ func (e *Engine) Recovery() fault.Recovery {
 	return fault.Recovery{Kind: fault.RecoveryLineage, RecomputeFactor: lineageRecomputeFactor}
 }
 
-// Rescale implements engine.RescaleModeler: Spark adds or removes
+// Rescale implements engine.Engine: Spark adds or removes
 // executors through dynamic allocation while the job keeps running —
 // lineage makes fresh executors immediately useful, so the transition
 // never stalls ingestion (Stall 1); the cost is only how long the
@@ -151,15 +151,11 @@ type sparkJob struct {
 }
 
 type job struct {
-	rt   *engine.Runtime
+	*engine.Runtime
 	opts Options
 	rng  *sim.RNG
 
-	agg     *window.PaneAggregator
-	joinBuf *window.TwoStreamBuffer
-
 	sustainLaw engine.CapacityLaw
-	netCap     float64
 
 	// receiverRate is the rate controller's current permitted ingest
 	// rate (events/s); it reacts at job granularity, not per tuple.
@@ -180,29 +176,20 @@ type job struct {
 
 // Deploy implements engine.Engine.
 func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	rt, err := engine.NewRuntime(k, cfg, e)
+	if err != nil {
 		return nil, err
 	}
 	j := &job{
-		rt:               engine.NewRuntime(k, cfg),
+		Runtime:          rt,
 		opts:             e.opts,
 		rng:              k.RNG("spark"),
+		sustainLaw:       aggSustainLaw,
 		schedDelaySeries: metrics.NewSeries("spark.scheduler_delay_s"),
 	}
-	j.rt.CPUPerMEvent = cpuPerMEvent
-	j.rt.Recovery = e.Recovery()
-	j.rt.Rescale = e.Rescale()
-	asg := cfg.Query.Assigner()
-	switch cfg.Query.Type {
-	case workload.Join:
-		j.joinBuf = cfg.Pool().TwoStream(asg)
+	j.CPUPerMEvent = cpuPerMEvent
+	if j.Join != nil {
 		j.sustainLaw = joinSustainLaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
-	default:
-		j.agg = cfg.Pool().Pane(asg)
-		j.sustainLaw = aggSustainLaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1)
 	}
 	j.receiverRate = j.capacity()
 	return j, nil
@@ -210,45 +197,29 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 
 // Start implements engine.Job.
 func (j *job) Start() {
-	j.lastBatch = j.rt.K.Now()
-	j.rt.Start(j.tick)
+	j.lastBatch = j.K.Now()
+	j.Runtime.Start(j.tick)
 }
-
-// Stop implements engine.Job.
-func (j *job) Stop() { j.rt.Stop() }
-
-// Failed implements engine.Job.
-func (j *job) Failed() (bool, string) { return j.rt.Failed() }
 
 // ExtraSeries implements engine.Job.
 func (j *job) ExtraSeries() map[string]*metrics.Series {
 	return map[string]*metrics.Series{"scheduler_delay": j.schedDelaySeries}
 }
 
-// LateDropped returns events dropped as late; Spark's arrival-time window
-// assignment slides late data into current windows instead, so this is
-// zero in practice.
-func (j *job) LateDropped() int64 {
-	if j.agg != nil {
-		return j.agg.LateDropped()
-	}
-	return j.joinBuf.LateDropped()
-}
-
 // capacity is the engine's sustainable ingest rate for the current
 // deployment and key distribution, before batching dynamics.
 func (j *job) capacity() float64 {
-	cap := j.sustainLaw.Cap(j.rt.Cfg.Cluster.Workers())
-	if cap > j.netCap {
-		cap = j.netCap
+	cap := j.sustainLaw.Cap(j.Cfg.Cluster.Workers())
+	if cap > j.NetCap {
+		cap = j.NetCap
 	}
 	// Tree aggregate / tree reduce: partial combining spreads a hot key
 	// over all partitions, so skew costs a factor, not a collapse
 	// (Experiment 4) — except for the skewed join, where the cogroup's
 	// hot key cannot be combined map-side and latencies explode.
-	hot := j.rt.HotKeys.HotShare()
+	hot := j.HotKeys.HotShare()
 	penalty := skewPenalty
-	if j.joinBuf != nil {
+	if j.Join != nil {
 		penalty = joinSkewPenalty
 	}
 	return cap * (1 - penalty*hot)
@@ -260,7 +231,7 @@ func (j *job) capacity() float64 {
 // blocking stages), so they get extra headroom.
 func (j *job) procRate() float64 {
 	h := procHeadroom
-	if j.joinBuf != nil {
+	if j.Join != nil {
 		h = 0.75
 	}
 	return j.capacity() / h
@@ -277,17 +248,17 @@ func (j *job) tick(now sim.Time) {
 	if phase < 0.5 {
 		burst = 1.22
 	}
-	budget := j.rt.TupleBudget(j.rng.Perturb(j.receiverRate*burst, 0.05), j.rt.Cfg.EventWeight)
-	batch, w := j.rt.Pull(budget, now)
+	budget := j.TupleBudget(j.rng.Perturb(j.receiverRate*burst, 0.05), j.Cfg.EventWeight)
+	batch, w := j.Pull(budget, now)
 	j.batchWeight += w
 	// DStream semantics: events are bucketed by the block/batch they
 	// arrive in, not by their event time — the receiver writes blocks as
 	// data comes.  Provenance keeps the true event times.
 	at := time.Duration(now)
-	if j.agg != nil {
-		j.agg.AddBatchAt(batch, at)
+	if j.Agg != nil {
+		j.Agg.AddBatchAt(batch, at)
 	} else {
-		j.joinBuf.AddBatchAt(batch, at)
+		j.Join.AddBatchAt(batch, at)
 	}
 
 	// Batch boundary: close the batch into a job.
@@ -311,14 +282,14 @@ func (j *job) submitBatch(now sim.Time) {
 	// Under backpressure this is what makes the emitted windows' content
 	// old (their max event-time lags) — the Figure 7 effect.
 	deadline := time.Duration(now)
-	if j.agg != nil {
+	if j.Agg != nil {
 		// The job holds its results past the next Fire, which reuses
 		// the aggregator's result slab: copy them out.
-		sj.out.agg = append(sj.out.agg, j.agg.Fire(deadline)...)
+		sj.out.agg = append(sj.out.agg, j.Agg.Fire(deadline)...)
 	} else {
-		for _, fw := range j.joinBuf.Fire(deadline) {
-			sj.out.join = append(sj.out.join, j.joinBuf.HashJoin(fw)...)
-			j.joinBuf.Recycle(fw)
+		for _, fw := range j.Join.Fire(deadline) {
+			sj.out.join = append(sj.out.join, j.Join.HashJoin(fw)...)
+			j.Join.Recycle(fw)
 		}
 	}
 
@@ -350,7 +321,7 @@ func (j *job) submitBatch(now sim.Time) {
 
 	// Emit this job's outputs spread over the execution of its final
 	// stages: reduceByKey results stream out as partitions complete.
-	j.rt.K.At(end, func() { j.completeJob(sj, start, end) })
+	j.K.At(end, func() { j.completeJob(sj, start, end) })
 
 	// Rate controller (PID-like, reacting at job granularity — the paper
 	// notes Spark's backpressure information travels "in the order of job
@@ -387,14 +358,14 @@ func (j *job) jobProcTime(weight int64) time.Duration {
 	// MappedValuesRDD + FlatMappedValuesRDD (3 stages), each a blocking
 	// barrier with fixed overhead.
 	stages := 2
-	if j.joinBuf != nil {
+	if j.Join != nil {
 		stages = 3
 	}
 	secs += 0.05 * float64(stages)
 	// Experiment 3: sliding-window aggregate sharing strategy.
-	ratio := float64(j.rt.Cfg.Query.WindowSize) / float64(j.opts.BatchInterval)
+	ratio := float64(j.Cfg.Query.WindowSize) / float64(j.opts.BatchInterval)
 	if ratio > 2 {
-		switch j.rt.Cfg.Query.Strategy {
+		switch j.Cfg.Query.Strategy {
 		case workload.StrategyInverseReduce:
 			secs *= 1.05 // near-flat: add new pane, subtract expired one
 		case workload.StrategyRecompute:
@@ -409,7 +380,7 @@ func (j *job) jobProcTime(weight int64) time.Duration {
 	// Smaller clusters feel stragglers harder: fewer partitions, so one
 	// slow executor holds a larger share of the blocking stage.
 	if j.rng.Bool(0.04) {
-		n := float64(j.rt.Cfg.Cluster.Workers())
+		n := float64(j.Cfg.Cluster.Workers())
 		secs *= 1.25 + (0.5+1.5/n)*j.rng.Float64()
 	}
 	return time.Duration(j.rng.Perturb(secs, 0.06) * float64(time.Second))
@@ -435,7 +406,7 @@ func (j *job) completeJob(sj *sparkJob, start, end sim.Time) {
 		return start + time.Duration(span*(0.55+0.45*j.rng.Float64()))
 	}
 	for _, r := range sj.out.agg {
-		j.rt.EmitAgg(r, emitAt())
+		j.EmitAgg(r, emitAt())
 	}
 	if len(sj.out.join) > 0 {
 		// Join results additionally pay the cogroup materialisation and
@@ -447,10 +418,10 @@ func (j *job) completeJob(sj *sparkJob, start, end sim.Time) {
 		if loadFactor > 1.5 {
 			loadFactor = 1.5
 		}
-		winSpan := float64(j.rt.Cfg.Query.WindowSize)
+		winSpan := float64(j.Cfg.Query.WindowSize)
 		for _, r := range sj.out.join {
 			extra := time.Duration(0.75 * j.rng.Float64() * winSpan * loadFactor)
-			j.rt.EmitJoin(r, emitAt()+extra)
+			j.EmitJoin(r, emitAt()+extra)
 		}
 	}
 }

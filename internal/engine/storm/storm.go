@@ -35,12 +35,10 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/tuple"
 	"repro/internal/window"
-	"repro/internal/workload"
 )
 
 // Options tune the engine model; zero values mean the paper's settings.
@@ -91,7 +89,7 @@ func (e *Engine) Name() string { return "storm" }
 // pipeline's headroom over steady state.
 const replayRate = 1.5
 
-// Recovery implements engine.RecoveryModeler: Storm replays the records
+// Recovery implements engine.Engine: Storm replays the records
 // that went un-acked during the outage at replayRate × the normal rate —
 // no state snapshot, no lineage, just at-least-once redelivery (the
 // paper's §5 record-replay recovery).
@@ -99,7 +97,7 @@ func (e *Engine) Recovery() fault.Recovery {
 	return fault.Recovery{Kind: fault.RecoveryReplay, ReplayRate: replayRate}
 }
 
-// Rescale implements engine.RescaleModeler: Storm redistributes executors
+// Rescale implements engine.Engine: Storm redistributes executors
 // with a topology rebalance — the spouts are paused while tasks move
 // (ingestion dark, Stall 0), but with no state snapshot to write the
 // pause is far shorter than Flink's savepoint cycle.
@@ -143,19 +141,16 @@ var (
 )
 
 type job struct {
-	rt   *engine.Runtime
+	*engine.Runtime
 	opts Options
 	rng  *sim.RNG
 
-	agg     *window.PaneAggregator
-	joinBuf *window.TwoStreamBuffer
 	// heap is the modelled heap of the aggregation's buffered UDF
 	// windows: window.BufferedEventBytes per event weight and unfired
 	// window holding it, released when the window fires.
 	heap int64
 
 	sustainLaw engine.CapacityLaw
-	netCap     float64
 	// capComp compensates the capacity law for the model's internal
 	// overheads (window-fire debt, GC duty cycle) so that the *net*
 	// sustainable rate matches the law, which is fitted to the paper's
@@ -184,47 +179,36 @@ type job struct {
 
 // Deploy implements engine.Engine.
 func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
+	rt, err := engine.NewRuntime(k, cfg, e)
+	if err != nil {
 		return nil, err
 	}
 	j := &job{
-		rt:       engine.NewRuntime(k, cfg),
-		opts:     e.opts,
-		rng:      k.RNG("storm"),
-		inflight: cfg.ScratchQueue("spout-inflight"),
+		Runtime:    rt,
+		opts:       e.opts,
+		rng:        k.RNG("storm"),
+		sustainLaw: aggSustainLaw,
+		inflight:   rt.Cfg.ScratchQueue("spout-inflight"),
 	}
-	j.rt.CPUPerMEvent = cpuPerMEvent
-	j.rt.Recovery = e.Recovery()
-	j.rt.Rescale = e.Rescale()
-	asg := cfg.Query.Assigner()
-	switch cfg.Query.Type {
-	case workload.Join:
-		j.joinBuf = cfg.Pool().TwoStream(asg)
-		j.sustainLaw = naiveJoinLaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1 + 0.17*cfg.Query.Selectivity)
-		if cfg.Cluster.Workers() >= 4 {
-			// Experiment 2: "we faced memory issues and topology
-			// stalls on larger clusters" with the naive join.
-			k.After(naiveJoinStallAfter, func() {
-				j.rt.Fail("topology stall: naive windowed-join state and pending tuples exceeded worker memory")
-			})
-		}
-	default:
-		j.agg = cfg.Pool().Pane(asg)
-		j.sustainLaw = aggSustainLaw
-		j.netCap = cfg.Cluster.NetworkEventCap(1)
-	}
+	j.CPUPerMEvent = cpuPerMEvent
 	// Every ingested event is re-scanned at trigger time in each of the
 	// size/slide windows holding it (fire debt); that work is paid out of
 	// the raw capacity, so the law is scaled up to keep the net rate on
 	// the paper's anchors.
 	share := fireCostShare
-	if cfg.Query.Type == workload.Join {
+	if j.Join != nil {
+		j.sustainLaw = naiveJoinLaw
 		share = joinFireCostShare
+		if j.Cfg.Cluster.Workers() >= 4 {
+			// Experiment 2: "we faced memory issues and topology
+			// stalls on larger clusters" with the naive join.
+			k.After(naiveJoinStallAfter, func() {
+				j.Fail("topology stall: naive windowed-join state and pending tuples exceeded worker memory")
+			})
+		}
 	}
-	j.capComp = 1 + share*float64(asg.WindowsPerEvent())
-	model := transientsFor(cfg.Cluster.Workers(), e.opts)
+	j.capComp = 1 + share*float64(j.Cfg.Query.Assigner().WindowsPerEvent())
+	model := transientsFor(j.Cfg.Cluster.Workers(), e.opts)
 	j.transients = engine.NewTransients(model, j.rng, k.Now())
 	// Expectation-compensation alone leaves Storm supercritical after a
 	// long episode: the bang-bang throttle wastes part of the headroom
@@ -235,24 +219,7 @@ func (e *Engine) Deploy(k *sim.Kernel, cfg engine.Config) (engine.Job, error) {
 }
 
 // Start implements engine.Job.
-func (j *job) Start() { j.rt.Start(j.tick) }
-
-// Stop implements engine.Job.
-func (j *job) Stop() { j.rt.Stop() }
-
-// Failed implements engine.Job.
-func (j *job) Failed() (bool, string) { return j.rt.Failed() }
-
-// ExtraSeries implements engine.Job.
-func (j *job) ExtraSeries() map[string]*metrics.Series { return nil }
-
-// LateDropped returns the number of simulated events dropped as late.
-func (j *job) LateDropped() int64 {
-	if j.agg != nil {
-		return j.agg.LateDropped()
-	}
-	return j.joinBuf.LateDropped()
-}
+func (j *job) Start() { j.Runtime.Start(j.tick) }
 
 // transientsFor builds Storm's episode model for an n-worker deployment:
 // frequent GC, and executor-imbalance slowdowns whose duration *grows*
@@ -277,15 +244,15 @@ func transientsFor(n int, opts Options) engine.TransientModel {
 
 // processingCap returns the bolts' drain rate in events/s this tick.
 func (j *job) processingCap(now sim.Time) float64 {
-	n := j.rt.Cfg.Cluster.Workers()
+	n := j.Cfg.Cluster.Workers()
 	// The fabric bounds the *net* ingest rate; the fire-debt and
 	// transient-margin compensation inflate only the internal processing
 	// rate, so they apply after the network clamp.
 	cap := j.sustainLaw.Cap(n)
-	if cap > j.netCap {
-		cap = j.netCap
+	if cap > j.NetCap {
+		cap = j.NetCap
 	}
-	cap = engine.SlotConstraint(cap, slotCap, j.rt.HotKeys.HotShare())
+	cap = engine.SlotConstraint(cap, slotCap, j.HotKeys.HotShare())
 	cap *= j.capComp * j.margin
 	if j.opts.DisableAcking {
 		// At-most-once: no acker bolts, no per-tuple ack traffic.
@@ -300,7 +267,7 @@ func (j *job) processingCap(now sim.Time) float64 {
 
 func (j *job) tick(now sim.Time) {
 	cap := j.processingCap(now)
-	dt := j.rt.Cfg.Tick.Seconds()
+	dt := j.Cfg.Tick.Seconds()
 
 	// Pay trigger-evaluation debt first: while the window is being
 	// evaluated in bulk the bolts process fewer fresh tuples.
@@ -325,7 +292,7 @@ func (j *job) tick(now sim.Time) {
 	if j.opts.DisableBackpressure {
 		j.pull(now, cap*1.25*dt)
 		if float64(j.inflight.Weight()) > dropBacklogSeconds*cap && cap > 0 {
-			j.rt.Fail("dropped connection to generator queue (overload with backpressure disabled)")
+			j.Fail("dropped connection to generator queue (overload with backpressure disabled)")
 			return
 		}
 	} else {
@@ -361,8 +328,8 @@ func (j *job) tick(now sim.Time) {
 // pull ingests up to evBudget real events from the driver queues into the
 // spout buffer (copying them out of the runtime's reused pull batch).
 func (j *job) pull(now sim.Time, evBudget float64) {
-	n := j.rt.TupleBudget(evBudget/j.rt.Cfg.Tick.Seconds(), j.rt.Cfg.EventWeight)
-	batch, _ := j.rt.Pull(n, now)
+	n := j.TupleBudget(evBudget/j.Cfg.Tick.Seconds(), j.Cfg.EventWeight)
+	batch, _ := j.Pull(n, now)
 	j.inflight.PushFromBatch(batch)
 }
 
@@ -372,10 +339,10 @@ func (j *job) process(e *tuple.Event, now sim.Time) {
 	if e.EventTime > j.processedWM {
 		j.processedWM = e.EventTime
 	}
-	if j.agg != nil {
-		j.heap += j.agg.Add(e) * window.BufferedEventBytes * e.Weight
+	if j.Agg != nil {
+		j.heap += j.Agg.Add(e) * window.BufferedEventBytes * e.Weight
 	} else {
-		j.joinBuf.Add(e)
+		j.Join.Add(e)
 	}
 	j.checkMemory(now)
 }
@@ -387,14 +354,14 @@ func (j *job) checkMemory(now sim.Time) {
 		return
 	}
 	var state int64
-	if j.agg != nil {
+	if j.Agg != nil {
 		state = j.heap
 	} else {
-		state = j.joinBuf.StateBytes()
+		state = j.Join.StateBytes()
 	}
-	perWorker := state / int64(j.rt.Cfg.Cluster.Workers())
+	perWorker := state / int64(j.Cfg.Cluster.Workers())
 	if perWorker > j.opts.WorkerHeapBytes {
-		j.rt.Fail(fmt.Sprintf(
+		j.Fail(fmt.Sprintf(
 			"memory exception: buffered window state %d MB/worker exceeds %d MB worker heap (no spill inside UDFs)",
 			perWorker>>20, j.opts.WorkerHeapBytes>>20))
 	}
@@ -403,14 +370,14 @@ func (j *job) checkMemory(now sim.Time) {
 // fire evaluates complete windows in bulk, charging the evaluation as
 // processing debt so emission is delayed by the work it costs.
 func (j *job) fire(now sim.Time, cap float64) {
-	wm := j.processedWM - j.rt.Cfg.WatermarkSlack
+	wm := j.processedWM - j.Cfg.WatermarkSlack
 	if wm < 0 {
 		wm = 0
 	}
-	if j.agg != nil {
+	if j.Agg != nil {
 		// Results arrive ordered by window: each window's debt is its
 		// summed weight, and its results leave once that debt is paid.
-		res := j.agg.Fire(wm)
+		res := j.Agg.Fire(wm)
 		for len(res) > 0 {
 			n, weight := 0, int64(0)
 			for ; n < len(res) && res[n].Window == res[0].Window; n++ {
@@ -422,13 +389,13 @@ func (j *job) fire(now sim.Time, cap float64) {
 			}
 			emit := now + time.Duration(j.debt*float64(time.Second))
 			for _, r := range res[:n] {
-				j.rt.EmitAgg(r, emit)
+				j.EmitAgg(r, emit)
 			}
 			res = res[n:]
 		}
 		return
 	}
-	for _, fw := range j.joinBuf.Fire(wm) {
+	for _, fw := range j.Join.Fire(wm) {
 		// The naive nested-loop evaluation; results are identical to a
 		// hash join, only the cost differs, and that cost is charged as
 		// fire debt below (joinFireCostShare of the window weight).
@@ -438,9 +405,9 @@ func (j *job) fire(now sim.Time, cap float64) {
 		}
 		emit := now + time.Duration(j.debt*float64(time.Second))
 		for _, r := range results {
-			j.rt.EmitJoin(r, emit)
+			j.EmitJoin(r, emit)
 		}
-		j.joinBuf.Recycle(fw)
+		j.Join.Recycle(fw)
 	}
 }
 

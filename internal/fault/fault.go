@@ -82,8 +82,8 @@ const (
 	RecoveryReplay = "replay"
 )
 
-// Recovery is an engine's state-recovery cost model, bound to the runtime
-// by each engine model at deploy time.  The zero value is instant recovery.
+// Recovery is an engine's state-recovery cost model, bound to every
+// deployment by engine.NewRuntime.  The zero value is instant recovery.
 type Recovery struct {
 	// Kind selects the model (Recovery* constants).
 	Kind string

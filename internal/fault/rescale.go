@@ -5,7 +5,7 @@
 // rescaling run is exactly as reproducible as a static one.
 //
 // Each step costs what the deployed engine's rescaling mechanism costs.  The
-// engine exports a Rescale cost model (engine.RescaleModeler, mirroring the
+// engine exports a Rescale cost model (engine.Engine.Rescale, bound like the
 // Recovery models): Flink stops on a savepoint and restores at the new
 // parallelism, Storm rebalances with the spouts paused, Spark adds executors
 // through dynamic allocation without interrupting lineage, the ideal engine
@@ -40,8 +40,8 @@ const (
 	RescaleDynamicAlloc = "dynamic-alloc"
 )
 
-// Rescale is an engine's rescaling cost model, bound to the runtime by each
-// engine model at deploy time.  The zero value rescales instantly.
+// Rescale is an engine's rescaling cost model, bound to every deployment by
+// engine.NewRuntime.  The zero value rescales instantly.
 type Rescale struct {
 	// Kind selects the mechanism (Rescale* constants).
 	Kind string

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine/storm"
 	"repro/internal/fault"
 	"repro/internal/generator"
+	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -33,39 +35,70 @@ import (
 // stall must bite — the run's peak driver-queue depth must exceed the
 // fault-free run's — and the backlog it leaves must still fold into the
 // right sums.  Spark has no stall row.
+//
+// Flink and Storm also have a rescaled row: a 2→4 scale-out at 30 s,
+// whose transition stops ingestion (savepoint, rebalance).  The rescale
+// must bite — the run's minimum ingest rate over [30 s, 32 s] must fall
+// below the fault-free run's — and the sums must still match.  Ideal
+// rescales instantly, so it has no rescaled row.
 func TestAggregationMatchesOracle(t *testing.T) {
 	stall := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.KindStall, At: 30 * time.Second, For: 5 * time.Second, Factor: 0.1},
 	}}
+	scaleOut := &fault.RescalePlan{Steps: []fault.RescaleStep{{At: 30 * time.Second, Workers: 4}}}
 	for _, tc := range []struct {
-		eng   engine.Engine
-		exact bool
+		eng     engine.Engine
+		exact   bool
+		rescale bool
 	}{
-		{flink.New(flink.Options{}), true},
-		{storm.New(storm.Options{}), true},
-		{ideal.New(), true},
-		{spark.New(spark.Options{}), false},
+		{flink.New(flink.Options{}), true, true},
+		{storm.New(storm.Options{}), true, true},
+		{ideal.New(), true, false},
+		{spark.New(spark.Options{}), false, false},
 	} {
 		t.Run(tc.eng.Name(), func(t *testing.T) {
-			plain := runOracleCheck(t, tc.eng, nil, tc.exact)
+			plain := runOracleCheck(t, tc.eng, nil, nil, tc.exact)
 			if !tc.exact {
 				return
 			}
 			t.Run("stall", func(t *testing.T) {
-				stalled := runOracleCheck(t, tc.eng, stall, true)
+				stalled := runOracleCheck(t, tc.eng, stall, nil, true)
 				if a, b := stalled.QueueDepthSeries.Max(), plain.QueueDepthSeries.Max(); a <= b {
 					t.Fatalf("the stall did not bite: peak queue depth %v with it, %v without", a, b)
+				}
+			})
+			if !tc.rescale {
+				return
+			}
+			t.Run("rescale", func(t *testing.T) {
+				rescaled := runOracleCheck(t, tc.eng, nil, scaleOut, true)
+				a := minBetween(rescaled.ThroughputSeries, 30*time.Second, 32*time.Second)
+				b := minBetween(plain.ThroughputSeries, 30*time.Second, 32*time.Second)
+				t.Logf("minimum ingest rate over [30 s, 32 s]: %.0f ev/s rescaled, %.0f fault-free", a, b)
+				if a >= b {
+					t.Fatalf("the rescale did not bite: minimum ingest rate over [30 s, 32 s] %v with it, %v without", a, b)
 				}
 			})
 		})
 	}
 }
 
-// runOracleCheck runs eng on the aggregation query under faults (nil for
-// none), checks its interior windows against the oracle — per (key,
+// minBetween returns the minimum of s's points with from <= T <= to.
+func minBetween(s *metrics.Series, from, to time.Duration) float64 {
+	m := math.Inf(1)
+	for _, p := range s.Points {
+		if p.T >= from && p.T <= to && p.V < m {
+			m = p.V
+		}
+	}
+	return m
+}
+
+// runOracleCheck runs eng on the aggregation query under faults and a
+// rescale plan (nil for none), checks its interior windows against the oracle — per (key,
 // window) cell when exact, else each window's total SUM within 3% — and
 // returns the run's Result.
-func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule, exact bool) *driver.Result {
+func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule, plan *fault.RescalePlan, exact bool) *driver.Result {
 	t.Helper()
 	q := workload.Default(workload.Aggregation)
 
@@ -80,6 +113,7 @@ func runOracleCheck(t *testing.T, eng engine.Engine, faults *fault.Schedule, exa
 		RunFor:         80 * time.Second,
 		EventsPerTuple: 200,
 		Faults:         faults,
+		Rescale:        plan,
 		EventTap: func(e *tuple.Event) {
 			log = append(log, *e)
 		},

@@ -925,7 +925,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	q := New("bench", 0)
 	e := mkEvent(1, 20)
 	// Warm the ring so the one-time grow is not charged to the first
-	// timed iteration (keeps the -benchtime=1x CI smoke at 0 allocs/op).
+	// timed iteration (keeps the CI smoke, scripts/bench-smoke.sh, at 0 allocs/op).
 	q.Push(e)
 	q.Pop()
 	b.ReportAllocs()
@@ -985,7 +985,7 @@ func BenchmarkGroupScatterDrain(b *testing.B) {
 		g.PopBatch(dst, large.Len())
 	}
 	// Warm the log and the drain scratch before timing (keeps the
-	// -benchtime=1x CI smoke at 0 allocs/op).
+	// CI smoke, scripts/bench-smoke.sh, at 0 allocs/op).
 	op()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/generator"
 	"repro/internal/metrics"
@@ -664,36 +663,6 @@ func assembleSeries(s Spec, o core.Options, pts []point, heading string, raws []
 	}, nil
 }
 
-// recoveryModelFor returns the recovery cost model of the named engine —
-// the same Recovery its Deploy binds to the runtime, so derived metrics
-// and injected restore tails always agree.  Unknown engines (or engines
-// without a model) recover instantly.
-func recoveryModelFor(name string) fault.Recovery {
-	eng, err := core.EngineByName(name)
-	if err != nil {
-		return fault.Recovery{}
-	}
-	if m, ok := eng.(engine.RecoveryModeler); ok {
-		return m.Recovery()
-	}
-	return fault.Recovery{}
-}
-
-// rescaleModelFor returns the rescale cost model of the named engine — the
-// same Rescale its Deploy binds to the runtime, so derived transition
-// metrics and injected transition stalls always agree.  Unknown engines
-// (or engines without a model) rescale instantly.
-func rescaleModelFor(name string) fault.Rescale {
-	eng, err := core.EngineByName(name)
-	if err != nil {
-		return fault.Rescale{}
-	}
-	if m, ok := eng.(engine.RescaleModeler); ok {
-		return m.Rescale()
-	}
-	return fault.Rescale{}
-}
-
 // assembleRecovery renders the recovery-series artefact: a throughput panel
 // and a queue-depth panel per grid point, plus per-fault metrics — the
 // relative throughput dip during each fault window, the time the backlog
@@ -730,7 +699,14 @@ func assembleRecovery(s Spec, o core.Options, pts []point, heading string, raws 
 		}
 		label := labelFor(s, p)
 		base := metricBase(s, p)
-		recModel := recoveryModelFor(p.engine)
+		// The engine's cost models are the ones NewRuntime binds to its
+		// deployments, so the derived restore and transition metrics
+		// agree with the injected restore tails and transition stalls.
+		eng, err := core.EngineByName(p.engine)
+		if err != nil {
+			return nil, err
+		}
+		recModel, rsModel := eng.Recovery(), eng.Rescale()
 		panels = append(panels,
 			report.FigurePanel{Title: label + " throughput", Series: r.Throughput, Unit: " ev/s"},
 			report.FigurePanel{Title: label + " queue depth", Series: r.Depth, Unit: " ev"},
@@ -771,21 +747,12 @@ func assembleRecovery(s Spec, o core.Options, pts []point, heading string, raws 
 				metricsOut[fmt.Sprintf("%s/fault%d/restore_s", base, fi)] = restore
 				metricsOut[fmt.Sprintf("%s/fault%d/replayed_tuples", base, fi)] = replayed
 				totalRestore += restore
-				kindStr := recModel.Kind
-				if kindStr == "" {
-					kindStr = fault.RecoveryInstant
-				}
-				fmt.Fprintf(&sb, ", %s restore %.1fs (%.0f tuples replayed)", kindStr, restore, replayed)
+				fmt.Fprintf(&sb, ", %s restore %.1fs (%.0f tuples replayed)", recModel.Kind, restore, replayed)
 			}
 			sb.WriteString("\n")
 		}
 		metricsOut[base+"/recovery_cost_s"] = totalRestore
 		if plan != nil {
-			rsModel := rescaleModelFor(p.engine)
-			kindStr := rsModel.Kind
-			if kindStr == "" {
-				kindStr = fault.RescaleInstant
-			}
 			totalRescale := 0.0
 			prev := p.workers
 			for ri, st := range plan.Steps {
@@ -802,7 +769,7 @@ func assembleRecovery(s Spec, o core.Options, pts []point, heading string, raws 
 				metricsOut[fmt.Sprintf("%s/rescale%d/steady_throughput", base, ri)] = steady
 				totalRescale += cost
 				fmt.Fprintf(&sb, "%s: rescale %d (%d→%d workers at %s): %s transition %.1fs, capacity dropped %.1fs, steady throughput %.0f ev/s\n",
-					label, ri, prev, st.Workers, st.At, kindStr, cost, dropped, steady)
+					label, ri, prev, st.Workers, st.At, rsModel.Kind, cost, dropped, steady)
 				prev = st.Workers
 			}
 			metricsOut[base+"/rescale_cost_s"] = totalRescale

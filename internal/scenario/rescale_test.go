@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine/ideal"
 )
 
 // rescaleSpec mirrors examples/scenarios/elastic-rescale.json in
@@ -222,8 +223,8 @@ func TestElasticRescaleDeterministicAndCostOrdered(t *testing.T) {
 	if !(cost["flink"] > cost["storm"] && cost["storm"] > cost["spark"] && cost["spark"] > 0) {
 		t.Fatalf("rescale_cost_s = %v, want flink > storm > spark > 0", cost)
 	}
-	if ideal := rescaleModelFor("ideal").Transition(4, 6); ideal != 0 {
-		t.Fatalf("ideal rescale transition = %v, want 0 (instant)", ideal)
+	if d := ideal.New().Rescale().Transition(4, 6); d != 0 {
+		t.Fatalf("ideal rescale transition = %v, want 0 (instant)", d)
 	}
 	if !strings.Contains(out.Text, "rescale 0 (4→6 workers") {
 		t.Fatal("artifact text should narrate the rescale transition")

@@ -341,7 +341,7 @@ func BenchmarkWindowAggregate(b *testing.B) {
 	}
 	// Warm through several complete fire/retire cycles so state-table
 	// growth is not charged to the timed iterations (keeps the
-	// -benchtime=1x CI smoke at 0 allocs/op); the timed loop continues
+	// CI smoke, scripts/bench-smoke.sh, at 0 allocs/op); the timed loop continues
 	// the same stream.
 	const warm = 200_000
 	for i := 0; i < warm; i++ {
