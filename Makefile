@@ -60,7 +60,8 @@ compare-gate:
 
 # Race-check the parallel experiment executor, the speculative
 # sustainable-throughput search (whose probe-arena pool is shared across
-# speculation workers), the flat keyed-state tables, and the
+# speculation workers), the generator's process-wide draw tapes (read and
+# extended by concurrent runs), the flat keyed-state tables, and the
 # coordinator/agent control plane (ctl runs -short: the synthetic
 # lease/failover tests cover the concurrency; the byte-identity
 # integration tests run in `test`), plus the ctl journal, resume and agent
@@ -68,6 +69,7 @@ compare-gate:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/par/
 	GOMAXPROCS=4 $(GO) test -race ./internal/flat/
+	GOMAXPROCS=4 $(GO) test -race ./internal/generator/ -run 'TestTapeConcurrentReaders|TestTapeBudget'
 	GOMAXPROCS=4 $(GO) test -race ./internal/driver/ -run 'TestSpeculative|TestWarmStart|TestProbe'
 	GOMAXPROCS=4 $(GO) test -race ./internal/scenario/ -run 'TestTable1Shape'
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/ -run 'TestReplicate|TestExp4Shape'

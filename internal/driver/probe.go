@@ -99,12 +99,7 @@ func (p *Probe) components(cfg Config) error {
 // generatorFor rebinds (or first builds) the generator fleet.
 func (p *Probe) generatorFor(k *sim.Kernel, genCfg generator.Config, queues *queue.Group) (*generator.Generator, error) {
 	if p.gen == nil {
-		gen, err := generator.New(k, genCfg, queues)
-		if err != nil {
-			return nil, err
-		}
-		p.gen = gen
-		return gen, nil
+		p.gen = new(generator.Generator)
 	}
 	if err := p.gen.Rebind(k, genCfg, queues); err != nil {
 		return nil, err

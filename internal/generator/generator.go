@@ -7,11 +7,15 @@
 // "Before each experiment we benchmarked and distributed our data generator
 // such that the data generation rate is faster than the data ingestion rate
 // of the fastest system" — in the simulation this holds by construction:
-// generation is a rate schedule, never CPU-bound.
+// generation is a rate schedule, never CPU-bound.  The simulator goes one
+// step further: the drawn columns of each stream are made once per process
+// on a shared draw tape (tape.go) and replayed by every run on that
+// stream, byte for byte what drawing them per run would yield.
 package generator
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -121,10 +125,11 @@ func (d UniformKeys) Cardinality() int { return d.N }
 //
 // A ZipfKeys literal in a config may be shared by concurrently executing
 // runs; the generator therefore never samples through the shared instance.
-// New calls bound() to give each run its own sampler, initialized
+// Each draw tape calls bound() to get its own sampler, initialized
 // explicitly at construction (the sampler itself is a pure function of
 // (N, S) plus the RNG passed per draw, so nothing run-specific leaks
-// between runs).
+// between runs).  Tapes key a Zipf by (N, S), so literals that agree
+// share one stream.
 type ZipfKeys struct {
 	N int
 	S float64
@@ -150,7 +155,7 @@ func (d *ZipfKeys) Next(r *sim.RNG) int64 {
 func (d *ZipfKeys) Cardinality() int { return d.N }
 
 // boundKeyDist is the optional KeyDist extension implemented by
-// distributions that carry per-run sampler state.  New rebinds any such
+// distributions that carry sampler state.  Each draw tape rebinds any such
 // distribution, so a config shared by concurrently executing runs never
 // shares sampler state; a new stateful KeyDist only has to implement
 // bound() to get the same protection.
@@ -193,7 +198,8 @@ type Config struct {
 	// (userID, gemPackID) of a recent purchase, which is what makes it
 	// joinable within the window — the join selectivity knob.
 	MatchProb float64
-	// MaxPrice bounds the purchase price field (exclusive).
+	// MaxPrice bounds the purchase price field: prices are drawn from
+	// [1, MaxPrice], and 0 means 100.
 	MaxPrice int64
 	// DisorderProb is the probability that an event is emitted with its
 	// event time shifted into the past (out-of-order input, the paper's
@@ -231,8 +237,12 @@ func (c Config) Validate() error {
 	if c.Keys == nil {
 		return fmt.Errorf("generator: key distribution is required")
 	}
-	if c.Users <= 0 {
-		return fmt.Errorf("generator: users must be positive, got %d", c.Users)
+	// The draw tape stores users in 32 bits and prices in 16.
+	if c.Users <= 0 || c.Users > math.MaxInt32 {
+		return fmt.Errorf("generator: users must be in [1, %d], got %d", math.MaxInt32, c.Users)
+	}
+	if c.MaxPrice > math.MaxUint16 {
+		return fmt.Errorf("generator: max price must be at most %d, got %d", math.MaxUint16, c.MaxPrice)
 	}
 	if c.AdsShare < 0 || c.AdsShare >= 1 {
 		return fmt.Errorf("generator: ads share must be in [0,1), got %v", c.AdsShare)
@@ -249,21 +259,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Generator drives a fleet of instances on a simulation kernel.
+// Generator drives a fleet of instances on a simulation kernel.  Its
+// drawn columns come from the process's draw tape of its stream (tape.go);
+// the generator itself keeps only its read position there.
 type Generator struct {
 	cfg    Config
 	k      *sim.Kernel
 	queues *queue.Group
-	rng    *sim.RNG
+	cur    cursor
 
 	// carry accumulates the fractional tuple budget between ticks so the
 	// long-run rate is exact even when rate·tick/weight is not integral.
 	carry float64
-
-	// recentPurchases is a small reservoir of recently generated purchase
-	// identities used to make ads joinable with controllable probability.
-	recentPurchases []purchaseID
-	reservoirNext   int
 
 	// pool recycles the per-tick staging batch; staging lets the Tap see
 	// the whole tick's events with stable addresses before they are
@@ -275,41 +282,23 @@ type Generator struct {
 	stopped     bool
 }
 
-type purchaseID struct{ user, pack int64 }
-
-const reservoirSize = 4096
-
 // New wires a generator fleet to its driver queues.  One instance feeds one
 // queue; cfg.Instances must equal queues.Size().
 func New(k *sim.Kernel, cfg Config, queues *queue.Group) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
+	g := &Generator{}
+	if err := g.Rebind(k, cfg, queues); err != nil {
 		return nil, err
 	}
-	if queues.Size() != cfg.Instances {
-		return nil, fmt.Errorf("generator: %d instances need %d queues, got %d",
-			cfg.Instances, cfg.Instances, queues.Size())
-	}
-	// Stateful key distributions are rebound per run so configs can be
-	// shared by concurrently executing runs without sharing sampler state.
-	if b, ok := cfg.Keys.(boundKeyDist); ok {
-		cfg.Keys = b.bound()
-	}
-	return &Generator{
-		cfg:             cfg,
-		k:               k,
-		queues:          queues,
-		rng:             k.RNG("generator"),
-		recentPurchases: make([]purchaseID, 0, reservoirSize),
-		pool:            tuple.NewBatchPool(1024),
-	}, nil
+	return g, nil
 }
 
-// Rebind resets a generator fleet for a fresh run on a (reset) kernel,
-// keeping the grown reservoir and batch-pool slabs.  A rebound generator
-// behaves bit-identically to one built by New with the same arguments:
-// the RNG stream comes from the kernel (which Reseeds it on Reset), the
-// reservoir restarts empty, and the fractional-rate carry restarts at
-// zero.  Probe arenas (driver.Probe) use this between bisection probes.
+// Rebind resets a generator fleet for a fresh run on a (reset) kernel; it
+// is the one reset path, and New is an empty Generator plus Rebind.  A
+// rebound generator keeps its batch-pool slabs and private draw buffers
+// and behaves bit-identically to a new one: it reads its stream's tape,
+// keyed by the kernel's seed, from row 0, and the fractional-rate carry
+// restarts at zero.  Probe arenas (driver.Probe) use this between
+// bisection probes.
 func (g *Generator) Rebind(k *sim.Kernel, cfg Config, queues *queue.Group) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -318,19 +307,12 @@ func (g *Generator) Rebind(k *sim.Kernel, cfg Config, queues *queue.Group) error
 		return fmt.Errorf("generator: %d instances need %d queues, got %d",
 			cfg.Instances, cfg.Instances, queues.Size())
 	}
-	if b, ok := cfg.Keys.(boundKeyDist); ok {
-		cfg.Keys = b.bound()
+	if g.pool == nil {
+		g.pool = tuple.NewBatchPool(1024)
 	}
-	g.cfg = cfg
-	g.k = k
-	g.queues = queues
-	g.rng = k.RNG("generator")
-	g.carry = 0
-	g.recentPurchases = g.recentPurchases[:0]
-	g.reservoirNext = 0
-	g.totalWeight = 0
-	g.ticker = nil
-	g.stopped = false
+	g.cfg, g.k, g.queues = cfg, k, queues
+	g.cur.reset(tapes.tapeFor(k.Seed(), cfg))
+	g.carry, g.totalWeight, g.ticker, g.stopped = 0, 0, nil, false
 	return nil
 }
 
@@ -356,11 +338,10 @@ func (g *Generator) TotalWeight() int64 { return g.totalWeight }
 //
 // The tick fills the staging batch column by column: the draw-free columns
 // (event time, weight, ingest time) are bulk-filled with tight vector
-// loops, and the RNG-derived columns are filled by fillDrawn in strict row
-// order — the per-event draw sequence is part of the artifacts' bit
-// identity (goldens, distributed smoke), so only columns that consume no
-// randomness may be batched out of row order.  TestGeneratorDrawOrder pins
-// this.
+// loops, and the RNG-derived columns are copied from the stream's draw
+// tape, which drew them in strict row order — the per-event draw sequence
+// is part of the artifacts' bit identity (goldens, distributed smoke).
+// TestGeneratorDrawOrder pins this.
 func (g *Generator) tick(now sim.Time) {
 	if g.stopped {
 		return
@@ -400,7 +381,7 @@ func (g *Generator) tick(now sim.Time) {
 	for i := range cols.IngestTime {
 		cols.IngestTime[i] = 0
 	}
-	g.fillDrawn(cols, n)
+	g.cur.read(cols)
 	if g.cfg.Tap != nil {
 		for i := 0; i < n; i++ {
 			e := cols.Row(i)
@@ -410,79 +391,4 @@ func (g *Generator) tick(now sim.Time) {
 	g.queues.Scatter(batch) // overflow is detected by the driver via Overflowed()
 	g.totalWeight += int64(n) * w
 	g.pool.Put(batch)
-}
-
-// fillDrawn fills the RNG-derived columns (stream, user, key, price, and
-// the disorder shift of event time) row by row.  Row order is load-bearing:
-// every draw must come off the generator's stream in exactly the order the
-// historical row-at-a-time makeEvent consumed it.
-func (g *Generator) fillDrawn(c tuple.Cols, n int) {
-	rng := g.rng
-	if g.cfg.AdsShare == 0 && g.cfg.DisorderProb == 0 {
-		// Purchases-only in-order fast path: the aggregation grids'
-		// steady state.  Draw order per row: user, key, price.
-		users := g.cfg.Users
-		keys := g.cfg.Keys
-		maxPrice := int(g.cfg.MaxPrice)
-		if maxPrice <= 0 {
-			maxPrice = 100
-		}
-		for i := 0; i < n; i++ {
-			u := int64(rng.Intn(users))
-			k := keys.Next(rng)
-			c.Stream[i] = tuple.Purchases
-			c.UserID[i] = u
-			c.GemPackID[i] = k
-			c.Price[i] = int64(rng.Intn(maxPrice)) + 1
-			g.remember(purchaseID{user: u, pack: k})
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		if g.cfg.DisorderProb > 0 && rng.Bool(g.cfg.DisorderProb) {
-			et := c.EventTime[i] - time.Duration(rng.Float64()*float64(g.cfg.DisorderMax))
-			if et < 0 {
-				et = 0
-			}
-			c.EventTime[i] = et
-		}
-		if g.cfg.AdsShare > 0 && rng.Bool(g.cfg.AdsShare) {
-			c.Stream[i] = tuple.Ads
-			c.Price[i] = 0
-			if len(g.recentPurchases) > 0 && rng.Bool(g.cfg.MatchProb) {
-				// A matching ad: propose a gem pack the user recently
-				// bought (the paper's use-case joins ads to resulting
-				// purchases; the correlation direction is symmetric for
-				// the benchmark's purposes).
-				p := g.recentPurchases[rng.Intn(len(g.recentPurchases))]
-				c.UserID[i], c.GemPackID[i] = p.user, p.pack
-			} else {
-				c.UserID[i] = int64(rng.Intn(g.cfg.Users))
-				c.GemPackID[i] = g.cfg.Keys.Next(rng)
-			}
-			continue
-		}
-		c.Stream[i] = tuple.Purchases
-		u := int64(rng.Intn(g.cfg.Users))
-		k := g.cfg.Keys.Next(rng)
-		c.UserID[i] = u
-		c.GemPackID[i] = k
-		maxPrice := g.cfg.MaxPrice
-		if maxPrice <= 0 {
-			maxPrice = 100
-		}
-		c.Price[i] = int64(rng.Intn(int(maxPrice))) + 1
-		g.remember(purchaseID{user: u, pack: k})
-	}
-}
-
-func (g *Generator) remember(p purchaseID) {
-	if len(g.recentPurchases) < reservoirSize {
-		g.recentPurchases = append(g.recentPurchases, p)
-		return
-	}
-	g.recentPurchases[g.reservoirNext] = p
-	if g.reservoirNext++; g.reservoirNext == reservoirSize {
-		g.reservoirNext = 0
-	}
 }

@@ -36,6 +36,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Users = 0 },
 		func(c *Config) { c.AdsShare = 1.0 },
 		func(c *Config) { c.MatchProb = 1.5 },
+		// The draw tape's user and price columns are 32 and 16 bits wide.
+		func(c *Config) { c.Users = math.MaxInt32 + 1 },
+		func(c *Config) { c.MaxPrice = math.MaxUint16 + 1 },
 	}
 	for i, mutate := range cases {
 		c := baseConfig()
@@ -466,31 +469,62 @@ func TestZipfKeysPerRunIsolation(t *testing.T) {
 	}
 }
 
-// referenceGenerate is a straight-line row-at-a-time reimplementation of
-// the generator's draw sequence: the exact order the historical makeEvent
-// consumed randomness, one event at a time.  TestGeneratorDrawOrder runs it
-// against the columnar tick on an identically seeded RNG stream; the two
-// must produce identical events AND leave the RNG in an identical state,
-// which pins that the columnar fill batches only draw-free columns.
-func referenceGenerate(rng *sim.RNG, cfg Config, runFor time.Duration) []tuple.Event {
-	var (
-		events    []tuple.Event
-		carry     float64
-		reservoir []purchaseID
-		resNext   int
-	)
-	remember := func(p purchaseID) {
-		if len(reservoir) < reservoirSize {
-			reservoir = append(reservoir, p)
-			return
-		}
-		reservoir[resNext] = p
-		resNext = (resNext + 1) % reservoirSize
-	}
+// refDrawer is a straight-line row-at-a-time reimplementation of the
+// generator's draw sequence: the exact order the historical makeEvent
+// consumed randomness, one event at a time, with its own reservoir.
+type refDrawer struct {
+	rng       *sim.RNG
+	cfg       Config
+	reservoir []purchaseID
+	resNext   int
+}
+
+// draw fills e's drawn fields from the next row's draws; e.EventTime must
+// hold the row's undisordered event time.
+func (r *refDrawer) draw(e *tuple.Event) {
+	rng, cfg := r.rng, r.cfg
 	maxPrice := cfg.MaxPrice
 	if maxPrice <= 0 {
 		maxPrice = 100
 	}
+	if cfg.DisorderProb > 0 && rng.Bool(cfg.DisorderProb) {
+		e.EventTime -= time.Duration(rng.Float64() * float64(cfg.DisorderMax))
+		if e.EventTime < 0 {
+			e.EventTime = 0
+		}
+	}
+	if cfg.AdsShare > 0 && rng.Bool(cfg.AdsShare) {
+		e.Stream = tuple.Ads
+		if len(r.reservoir) > 0 && rng.Bool(cfg.MatchProb) {
+			p := r.reservoir[rng.Intn(len(r.reservoir))]
+			e.UserID, e.GemPackID = p.user, p.pack
+		} else {
+			e.UserID = int64(rng.Intn(cfg.Users))
+			e.GemPackID = cfg.Keys.Next(rng)
+		}
+		return
+	}
+	e.Stream = tuple.Purchases
+	e.UserID = int64(rng.Intn(cfg.Users))
+	e.GemPackID = cfg.Keys.Next(rng)
+	e.Price = int64(rng.Intn(int(maxPrice))) + 1
+	p := purchaseID{user: e.UserID, pack: e.GemPackID}
+	if len(r.reservoir) < reservoirSize {
+		r.reservoir = append(r.reservoir, p)
+		return
+	}
+	r.reservoir[r.resNext] = p
+	r.resNext = (r.resNext + 1) % reservoirSize
+}
+
+// referenceGenerate generates runFor of events row by row from r, with
+// the tick's carry and event-time spread.
+func referenceGenerate(r *refDrawer, runFor time.Duration) []tuple.Event {
+	var (
+		cfg    = r.cfg
+		events []tuple.Event
+		carry  float64
+	)
 	for now := cfg.Tick; now <= runFor; now += cfg.Tick {
 		intervalStart := now - cfg.Tick
 		rate := cfg.Rate.RateAt(intervalStart)
@@ -505,32 +539,91 @@ func referenceGenerate(rng *sim.RNG, cfg Config, runFor time.Duration) []tuple.E
 				EventTime: intervalStart + time.Duration((float64(i)+0.5)/float64(n)*float64(cfg.Tick)),
 				Weight:    cfg.EventsPerTuple,
 			}
-			if cfg.DisorderProb > 0 && rng.Bool(cfg.DisorderProb) {
-				e.EventTime -= time.Duration(rng.Float64() * float64(cfg.DisorderMax))
-				if e.EventTime < 0 {
-					e.EventTime = 0
-				}
-			}
-			if cfg.AdsShare > 0 && rng.Bool(cfg.AdsShare) {
-				e.Stream = tuple.Ads
-				if len(reservoir) > 0 && rng.Bool(cfg.MatchProb) {
-					p := reservoir[rng.Intn(len(reservoir))]
-					e.UserID, e.GemPackID = p.user, p.pack
-				} else {
-					e.UserID = int64(rng.Intn(cfg.Users))
-					e.GemPackID = cfg.Keys.Next(rng)
-				}
-			} else {
-				e.Stream = tuple.Purchases
-				e.UserID = int64(rng.Intn(cfg.Users))
-				e.GemPackID = cfg.Keys.Next(rng)
-				e.Price = int64(rng.Intn(int(maxPrice))) + 1
-				remember(purchaseID{user: e.UserID, pack: e.GemPackID})
-			}
+			r.draw(&e)
 			events = append(events, e)
 		}
 	}
 	return events
+}
+
+// runGenerator runs a generator of cfg on a kernel of seed for runFor and
+// returns it with every event it generated.
+func runGenerator(t testing.TB, seed uint64, cfg Config, runFor time.Duration) (*Generator, []tuple.Event) {
+	k := sim.NewKernel(seed)
+	var got []tuple.Event
+	cfg.Tap = func(e *tuple.Event) { got = append(got, *e) }
+	g, err := New(k, cfg, queue.NewGroup("g", cfg.Instances, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	k.Run(runFor)
+	return g, got
+}
+
+// drawEnd returns the drawer that produced g's last rows, as the row it
+// stands at and its RNG state: the tape's drawer while g reads the tape,
+// g's private copy once g draws past what the tape retains.
+func drawEnd(g *Generator) (int, sim.RNG) {
+	c := &g.cur
+	if c.private {
+		return c.end, c.priv.rng
+	}
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	return len(c.t.chunks) * tapeChunkRows, c.t.d.rng
+}
+
+// checkDrawOrder compares got, the events of a generator of cfg on a
+// kernel of seed over runFor, against the reference's: they must produce
+// identical events AND leave the generator's drawer in an identical RNG
+// state after drawing the same rows, which pins that the draws come off
+// the stream in exactly the reference's order.
+func checkDrawOrder(t *testing.T, seed uint64, cfg Config, runFor time.Duration, g *Generator, got []tuple.Event) {
+	t.Helper()
+	refRNG := sim.NewKernel(seed).RNG("generator")
+	ref := &refDrawer{rng: refRNG, cfg: cfg}
+	want := referenceGenerate(ref, runFor)
+	if len(got) != len(want) {
+		t.Fatalf("event count diverged: got %d want %d", len(got), len(want))
+	}
+	for i := range want {
+		e := got[i]
+		e.IngestTime = 0 // not set by either path, but be explicit
+		if e != want[i] {
+			t.Fatalf("event %d diverged:\n got  %+v\n want %+v", i, e, want[i])
+		}
+	}
+	// The streams must stay aligned AFTER generation too: an equal prefix
+	// with extra draws consumed would silently shift every later artifact.
+	// The drawer draws whole chunks, so the reference first draws on to
+	// the row the drawer stands at.
+	rows, rng := drawEnd(g)
+	for i := len(want); i < rows; i++ {
+		var e tuple.Event
+		ref.draw(&e)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := rng.Uint64(), refRNG.Uint64(); a != b {
+			t.Fatalf("RNG streams out of phase after generation at row %d (draw %d: %x vs %x)", rows, i, a, b)
+		}
+	}
+}
+
+// drawOrderConfigs are the draw paths: the purchases-only fast path, the
+// joinable ads stream and the disorder shift, alone and together.
+var drawOrderConfigs = map[string]func(*Config){
+	"purchases-only": func(c *Config) {},
+	"ads-match": func(c *Config) {
+		c.AdsShare, c.MatchProb = 0.3, 0.5
+	},
+	"disordered": func(c *Config) {
+		c.DisorderProb, c.DisorderMax = 0.2, 50*time.Millisecond
+	},
+	"ads-match-disordered": func(c *Config) {
+		c.AdsShare, c.MatchProb = 0.3, 0.5
+		c.DisorderProb, c.DisorderMax = 0.2, 50*time.Millisecond
+	},
 }
 
 // TestGeneratorDrawOrder pins the RNG draw order of the columnar tick:
@@ -540,68 +633,31 @@ func referenceGenerate(rng *sim.RNG, cfg Config, runFor time.Duration) []tuple.E
 // here even if the aggregate distributions look right.
 func TestGeneratorDrawOrder(t *testing.T) {
 	const runFor = 500 * time.Millisecond
-	cases := map[string]func(*Config){
-		"purchases-only": func(c *Config) {},
-		"ads-match": func(c *Config) {
-			c.AdsShare, c.MatchProb = 0.3, 0.5
-		},
-		"disordered": func(c *Config) {
-			c.DisorderProb, c.DisorderMax = 0.2, 50*time.Millisecond
-		},
-		"ads-match-disordered": func(c *Config) {
-			c.AdsShare, c.MatchProb = 0.3, 0.5
-			c.DisorderProb, c.DisorderMax = 0.2, 50*time.Millisecond
-		},
-	}
-	for name, mutate := range cases {
+	for name, mutate := range drawOrderConfigs {
 		t.Run(name, func(t *testing.T) {
 			cfg := baseConfig()
 			mutate(&cfg)
-
-			k := sim.NewKernel(42)
-			qs := queue.NewGroup("g", cfg.Instances, 0)
-			var got []tuple.Event
-			cfg.Tap = func(e *tuple.Event) { got = append(got, *e) }
-			g, err := New(k, cfg, qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Start()
-			k.Run(runFor)
-
-			refRNG := sim.NewKernel(42).RNG("generator")
-			want := referenceGenerate(refRNG, cfg, runFor)
-
-			if len(got) != len(want) {
-				t.Fatalf("event count diverged: got %d want %d", len(got), len(want))
-			}
-			for i := range want {
-				e := got[i]
-				e.IngestTime = 0 // not set by either path, but be explicit
-				if e != want[i] {
-					t.Fatalf("event %d diverged:\n got  %+v\n want %+v", i, e, want[i])
-				}
-			}
-			// The streams must stay aligned AFTER generation too: an equal
-			// prefix with extra draws consumed would silently shift every
-			// later artifact.
-			for i := 0; i < 4; i++ {
-				if a, b := g.rng.Uint64(), refRNG.Uint64(); a != b {
-					t.Fatalf("RNG streams out of phase after generation (draw %d: %x vs %x)", i, a, b)
-				}
-			}
+			g, got := runGenerator(t, 42, cfg, runFor)
+			checkDrawOrder(t, 42, cfg, runFor, g, got)
 		})
 	}
 }
 
 // BenchmarkGeneratorTick measures the per-tick generation hot path —
-// events drawn, staged in a pooled batch, and scattered into the queue
-// rings — with a consumer draining so the rings stay at steady state.
-// It must report 0 allocs/op once slabs have grown.
+// drawn columns copied from the stream's draw tape, staged in a pooled
+// batch, and scattered into the queue rings — with a consumer draining so
+// the rings stay at steady state.  It runs over a warm tape: a first
+// generator on the same seed draws a lap of ticks onto the tape, and the
+// timed one rebinds to row 0 every lap, so it never draws (the draw cost
+// is BenchmarkTapeDraw's).  It must report 0 allocs/op once slabs have
+// grown.
 func BenchmarkGeneratorTick(b *testing.B) {
-	k := sim.NewKernel(1)
 	cfg := baseConfig()
 	cfg.Rate = ConstantRate(4_000_000) // 400 tuples per 10ms tick at weight 100
+	const lap = 1000                   // 400,000 rows: within one tape's cap
+	runGenerator(b, 1, cfg, lap*cfg.Tick)
+
+	k := sim.NewKernel(1)
 	qs := queue.NewGroup("g", cfg.Instances, 0)
 	g, err := New(k, cfg, qs)
 	if err != nil {
@@ -619,6 +675,11 @@ func BenchmarkGeneratorTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%lap == 0 {
+			if err := g.Rebind(k, cfg, qs); err != nil {
+				b.Fatal(err)
+			}
+		}
 		now += cfg.Tick
 		g.tick(now)
 		drain.Reset()

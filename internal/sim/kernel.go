@@ -111,6 +111,11 @@ func (k *Kernel) Reset(seed uint64) {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
+// Seed returns the seed every named stream derives from.  Components that
+// replay a stream drawn once per process (the generator's draw tape) key
+// it by this seed: NewRNG(k.Seed(), name) is the stream k.RNG(name) yields.
+func (k *Kernel) Seed() uint64 { return k.seed }
+
 // At schedules fn to run at absolute virtual time at.  Scheduling in the
 // past (before Now) panics: it would silently corrupt causality.
 func (k *Kernel) At(at Time, fn func()) Handle {

@@ -38,7 +38,7 @@ run() {
 run -bench='BenchmarkKernelSchedule' -benchmem ./internal/sim/
 run -bench='BenchmarkBatchColumnAppend' -benchmem ./internal/tuple/
 run -bench='BenchmarkQueuePushPop|BenchmarkQueueBatchTransfer' -benchmem ./internal/queue/
-run -bench='BenchmarkGeneratorTick' -benchmem ./internal/generator/
+run -bench='BenchmarkGeneratorTick|BenchmarkTapeDraw' -benchmem ./internal/generator/
 run -bench='BenchmarkWindowAggregate|BenchmarkWindowKeyedFire' -benchmem ./internal/window/
 run -bench='BenchmarkFlatTablePutGet' -benchmem ./internal/flat/
 run -bench='BenchmarkFindSustainableQuick' -benchtime=1x -benchmem ./internal/driver/

@@ -1,9 +1,10 @@
 #!/bin/sh
 # identity: the byte-identity oracle of a refactor.  Builds BASE's
-# sdpsbench from a temporary export of that revision (removed on exit) and
-# this checkout's sdpsbench, then requires byte-identical artifacts from
-# both on `-all -scale quick -json` and on `-scenario <spec> -scale quick
-# -json` for every examples/scenarios/*.json.  It also requires this
+# sdpsbench and genload from a temporary export of that revision (removed
+# on exit) and this checkout's, then requires byte-identical artifacts
+# from both on `-all -scale quick -json` and on `-scenario <spec> -scale
+# quick -json` for every examples/scenarios/*.json, and byte-identical
+# `genload -events` streams for every -keys choice.  It also requires this
 # checkout's `-all` artifact to be the same at GOMAXPROCS=1 and
 # GOMAXPROCS=4, so the parallel executor cannot change it.
 #
@@ -22,8 +23,10 @@ mkdir "$TMP/src" "$TMP/base" "$TMP/head"
 
 echo "identity: building $BASE and this checkout"
 git archive "$BASE" | tar -x -C "$TMP/src"
-(cd "$TMP/src" && go build -o "$TMP/sdpsbench-base" ./cmd/sdpsbench)
+(cd "$TMP/src" && go build -o "$TMP/sdpsbench-base" ./cmd/sdpsbench &&
+	go build -o "$TMP/genload-base" ./cmd/genload)
 go build -o "$TMP/sdpsbench-head" ./cmd/sdpsbench
+go build -o "$TMP/genload-head" ./cmd/genload
 
 fail=0
 
@@ -37,16 +40,18 @@ same() {
 	fi
 }
 
-# compare NAME ARGS...: run both binaries with ARGS and compare stdout.
+# compare NAME ARGS...: run both sdpsbench binaries with ARGS and compare
+# stdout; BIN=genload compares the genload binaries instead.
 compare() {
 	name=$1
+	bin=${BIN:-sdpsbench}
 	shift
-	if ! GOMAXPROCS=4 "$TMP/sdpsbench-base" "$@" >"$TMP/base/$name"; then
+	if ! GOMAXPROCS=4 "$TMP/$bin-base" "$@" >"$TMP/base/$name"; then
 		echo "identity: $name failed on $BASE" >&2
 		fail=1
 		return
 	fi
-	if ! GOMAXPROCS=4 "$TMP/sdpsbench-head" "$@" >"$TMP/head/$name"; then
+	if ! GOMAXPROCS=4 "$TMP/$bin-head" "$@" >"$TMP/head/$name"; then
 		echo "identity: $name failed on this checkout" >&2
 		fail=1
 		return
@@ -57,6 +62,12 @@ compare() {
 compare all.json -all -scale quick -json
 for spec in examples/scenarios/*.json; do
 	compare "scenario-$(basename "$spec")" -scenario "$spec" -scale quick -json
+done
+# 40,000 events per stream: enough to cross draw-tape chunks.
+for keys in normal uniform zipf single; do
+	for ads in 0 0.3; do
+		BIN=genload compare "genload-$keys-ads$ads" -rate 400000 -for 10s -ads "$ads" -match 0.5 -keys "$keys" -events
+	done
 done
 
 if GOMAXPROCS=1 "$TMP/sdpsbench-head" -all -scale quick -json >"$TMP/head/all-1proc.json"; then
