@@ -46,7 +46,7 @@ func main() {
 		adsShare  = flag.Float64("ads", 0, "fraction of events on the ADS stream")
 		match     = flag.Float64("match", 0.05, "probability an ad matches a recent purchase")
 		keys      = flag.String("keys", "normal", "gemPackID distribution: normal | uniform | zipf | single")
-		nKeys     = flag.Int("nkeys", 1000, "gemPackID cardinality")
+		nKeys     = flag.Int("nkeys", 1000, "gemPackID cardinality, at most 65536")
 		fluctuate = flag.Bool("fluctuate", false, "use the Experiment 5 high-low-high schedule")
 		events    = flag.Bool("events", false, "emit every event as JSON instead of statistics")
 		seed      = flag.Uint64("seed", 42, "generator seed")

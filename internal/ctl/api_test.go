@@ -28,23 +28,32 @@ func TestHTTPEndToEndWithRemoteAgents(t *testing.T) {
 		t.Fatalf("submit over HTTP: %+v", info)
 	}
 
-	// Two remote agents (Agent loop over the HTTP client).
+	// Two remote agents (Agent loop over the HTTP client), started on the
+	// watch's first event: that is the snapshot the server sends once it
+	// has subscribed, so no cell can finish before the watch sees it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		a := &Agent{Name: "remote", API: NewClient(srv.URL), Poll: 2 * time.Millisecond, Resolve: resolverFor(exp)}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.Run(ctx)
-		}()
+	startAgents := func() {
+		for i := 0; i < 2; i++ {
+			a := &Agent{Name: "remote", API: NewClient(srv.URL), Poll: 2 * time.Millisecond, Resolve: resolverFor(exp)}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.Run(ctx)
+			}()
+		}
 	}
 
 	// Watch over SSE until the run completes; events carry progress.
 	var cellEvents, runEvents int
 	var final RunStatus
+	started := false
 	if err := cl.Watch(context.Background(), info.ID, func(ev Event) {
+		if !started {
+			started = true
+			startAgents()
+		}
 		switch ev.Type {
 		case "cell":
 			cellEvents++

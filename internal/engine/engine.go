@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/flat"
 	"repro/internal/metrics"
 	"repro/internal/queue"
 	"repro/internal/sim"
@@ -84,7 +83,7 @@ type Config struct {
 }
 
 // Mem is the per-probe arena of engine state that survives between runs:
-// the Runtime (with its pull batch, hot-key table and fault vector), the
+// the Runtime (with its pull batch, hot-key counts and fault vector), the
 // window operator pool, and named scratch queues.  A Mem must only ever be used
 // by one run at a time; driver.Probe enforces that by construction.
 type Mem struct {
@@ -231,14 +230,19 @@ func FitThroughPoints(c2, c4, c8 float64) CapacityLaw {
 // load share of the hottest grouping key.  Engines use it to model the
 // keyed-exchange constraint of Experiment 4: in Storm and Flink "the
 // performance of the system is bounded by the performance of a single slot"
-// because one key maps to one operator instance.  Counts decay each window
-// so the estimate follows the workload.  Counts live in a flat.Table, so
-// the steady state allocates nothing and decay scans deterministically.
+// because one key maps to one operator instance.  Counts decay
+// periodically (Runtime.Pull halves them every 1,000 pulled tuples) so the
+// estimate follows the workload.
+//
+// Keys lie in [0, tuple.KeyDomain), so the counts live in a slice indexed
+// by key, next to the list of keys holding a count: Observe is one slice
+// update, and Decay and Reset touch only the held keys.  The steady state
+// allocates nothing.
 type HotKeyTracker struct {
-	counts flat.Table[int64]
+	counts []int64 // by key; zero for every key not in held
+	held   []int32 // keys with a non-zero count
 	total  int64
 	hot    int64
-	hotKey int64
 }
 
 // NewHotKeyTracker returns an empty tracker.
@@ -246,20 +250,28 @@ func NewHotKeyTracker() *HotKeyTracker {
 	return &HotKeyTracker{}
 }
 
-// Reset empties the tracker, keeping grown table capacity.
+// Reset empties the tracker, keeping grown capacity.
 func (t *HotKeyTracker) Reset() {
-	t.counts.Reset()
-	t.total, t.hot, t.hotKey = 0, 0, 0
+	for _, k := range t.held {
+		t.counts[k] = 0
+	}
+	t.held = t.held[:0]
+	t.total, t.hot = 0, 0
 }
 
-// Observe folds one ingested event's key in.
+// Observe folds one ingested event's key in; weight must not be negative.
 func (t *HotKeyTracker) Observe(key int64, weight int64) {
-	c, _ := t.counts.Upsert(flat.K(key))
+	if uint64(key) >= uint64(len(t.counts)) {
+		t.counts = tuple.GrowToKey(t.counts, key)
+	}
+	c := &t.counts[key]
+	if *c == 0 && weight != 0 {
+		t.held = append(t.held, int32(key))
+	}
 	*c += weight
 	t.total += weight
 	if *c > t.hot {
 		t.hot = *c
-		t.hotKey = key
 	}
 }
 
@@ -272,24 +284,23 @@ func (t *HotKeyTracker) HotShare() float64 {
 	return float64(t.hot) / float64(t.total)
 }
 
-// Decay halves all counts, bounding memory and letting the estimate track
-// workload changes.  Called periodically by the engines.
+// Decay halves all counts, dropping keys whose count reaches zero, so the
+// estimate tracks workload changes.  Called periodically by the engines.
 func (t *HotKeyTracker) Decay() {
 	t.total = 0
 	t.hot = 0
-	t.counts.Range(func(k flat.Key, c *int64) bool {
-		*c /= 2
-		if *c == 0 {
-			t.counts.Delete(k)
-			return true
+	held := t.held[:0]
+	for _, k := range t.held {
+		c := t.counts[k] / 2
+		t.counts[k] = c
+		if c == 0 {
+			continue
 		}
-		t.total += *c
-		if *c > t.hot {
-			t.hot = *c
-			t.hotKey = k.A
-		}
-		return true
-	})
+		held = append(held, k)
+		t.total += c
+		t.hot = max(t.hot, c)
+	}
+	t.held = held
 }
 
 // SlotConstraint returns the effective capacity of a keyed operator given

@@ -274,7 +274,7 @@ func TestNewRuntimeRecyclesArena(t *testing.T) {
 			failed, rt2.Watermark, rt2.carry, rt2.CPUPerMEvent)
 	}
 	if rt2.HotKeys.HotShare() != 0 || rt2.pullBatch.Len() != 0 {
-		t.Fatal("recycled hot-key table or pull batch not reset")
+		t.Fatal("recycled hot-key counts or pull batch not reset")
 	}
 	if rt2.Agg != nil || rt2.Join == nil || rt2.NetCap >= cfg.Cluster.NetworkEventCap(1) {
 		t.Fatalf("join deployment: Agg %v Join %v NetCap %v", rt2.Agg, rt2.Join, rt2.NetCap)

@@ -95,7 +95,7 @@ type Runtime struct {
 
 // NewRuntime applies cfg's defaults, validates it and deploys eng's
 // scaffold for one run: the runtime recycled from cfg.Mem's arena (only
-// its pull batch, hot-key table and fault vector carry over from the
+// its pull batch, hot-key counts and fault vector carry over from the
 // arena's previous run), eng's cost models, and the query's window state
 // and fabric bound.  Models read the defaulted config back as rt.Cfg.
 func NewRuntime(k *sim.Kernel, cfg Config, eng Engine) (*Runtime, error) {

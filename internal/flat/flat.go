@@ -1,6 +1,9 @@
 // Package flat implements the deterministic open-addressing hash tables
-// the simulator's keyed hot paths run on: window state keyed by
-// (key, window-end), pane partials, buffered window slabs, hot-key counts.
+// the simulator's keyed paths run on: the buffered windows' panes keyed
+// by pane end and the hash join's build index keyed by join key.  State
+// keyed by gemPackID alone (pane partials, hot-key counts) does not use
+// it: keys lie in [0, tuple.KeyDomain), so that state is a slice indexed
+// by key (DESIGN-PERF.md §8.4).
 //
 // Go's built-in map randomizes iteration order, which forced every keyed
 // consumer to sort before emitting, and its bucket churn is the last

@@ -85,7 +85,10 @@ func PaperFluctuation(runFor time.Duration, high, low float64) StepSchedule {
 	}
 }
 
-// KeyDist draws gemPackID values.
+// KeyDist draws gemPackID values, which lie in [0, tuple.KeyDomain):
+// Config.Validate rejects a distribution this package defines whose range
+// passes the bound, and the draw tape panics on any other distribution's
+// first key outside it.
 type KeyDist interface {
 	Next(r *sim.RNG) int64
 	// Cardinality returns the number of distinct keys the distribution
@@ -236,6 +239,18 @@ func (c Config) Validate() error {
 	}
 	if c.Keys == nil {
 		return fmt.Errorf("generator: key distribution is required")
+	}
+	// Keys lie in [0, tuple.KeyDomain).  A distribution this package does
+	// not define is checked as its keys are drawn (checkedKeys).
+	switch d := c.Keys.(type) {
+	case SingleKey:
+		if d.K < 0 || d.K >= tuple.KeyDomain {
+			return fmt.Errorf("generator: single key must be in [0, %d), got %d", tuple.KeyDomain, d.K)
+		}
+	case NormalKeys, UniformKeys, *ZipfKeys:
+		if n := d.Cardinality(); n > tuple.KeyDomain {
+			return fmt.Errorf("generator: key distribution may draw at most %d keys, got n=%d", tuple.KeyDomain, n)
+		}
 	}
 	// The draw tape stores users in 32 bits and prices in 16.
 	if c.Users <= 0 || c.Users > math.MaxInt32 {

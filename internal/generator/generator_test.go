@@ -2,6 +2,7 @@ package generator
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,13 @@ func TestConfigValidation(t *testing.T) {
 		// The draw tape's user and price columns are 32 and 16 bits wide.
 		func(c *Config) { c.Users = math.MaxInt32 + 1 },
 		func(c *Config) { c.MaxPrice = math.MaxUint16 + 1 },
+		// Keys lie in [0, tuple.KeyDomain): the tape's key column is 16
+		// bits wide and engines index per-key state by key.
+		func(c *Config) { c.Keys = NormalKeys{N: tuple.KeyDomain + 1} },
+		func(c *Config) { c.Keys = UniformKeys{N: tuple.KeyDomain + 1} },
+		func(c *Config) { c.Keys = &ZipfKeys{N: tuple.KeyDomain + 1, S: 1.2} },
+		func(c *Config) { c.Keys = SingleKey{K: tuple.KeyDomain} },
+		func(c *Config) { c.Keys = SingleKey{K: -1} },
 	}
 	for i, mutate := range cases {
 		c := baseConfig()
@@ -46,6 +54,21 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
+	}
+	for _, keys := range []KeyDist{
+		NormalKeys{N: tuple.KeyDomain - 1}, UniformKeys{N: tuple.KeyDomain},
+		&ZipfKeys{N: tuple.KeyDomain - 1, S: 1.2}, SingleKey{K: tuple.KeyDomain - 1},
+	} {
+		c := baseConfig()
+		c.Keys = keys
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%#v: a distribution within the key domain rejected: %v", keys, err)
+		}
+	}
+	c := baseConfig()
+	c.Keys = NormalKeys{N: tuple.KeyDomain + 1}
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("the key-domain error must state the bound, got %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package generator
 
 import (
-	"math"
+	"fmt"
 	"sync"
 	"time"
 
@@ -33,7 +33,7 @@ const (
 	// tapeChunkRows is the number of rows in one tape chunk.
 	tapeChunkRows = 1 << 14
 	// tapeBudget bounds the bytes all cached tapes retain together.  Table I
-	// quick's eight tapes, 2.75 M rows, take 29 MiB of it.
+	// quick's eight tapes, 2.75 M rows, take about 24 MiB of it.
 	tapeBudget = 32 << 20
 	// tapeMaxEntries bounds the number of cached tapes, most of which
 	// retain chunks; the few that never extended hold only their drawer.
@@ -109,7 +109,7 @@ func (d *drawer) fill(ch *chunk) {
 		for i := range ch.user {
 			ch.stream[i] = tuple.Purchases
 			ch.user[i] = int32(rng.Intn(d.users))
-			ch.setKey(i, d.keys.Next(rng))
+			ch.key[i] = uint16(d.keys.Next(rng))
 			ch.price[i] = uint16(rng.Intn(d.maxPrice)) + 1
 		}
 		return
@@ -131,10 +131,10 @@ func (d *drawer) fill(ch *chunk) {
 				// the benchmark's purposes).
 				p := d.reservoir[rng.Intn(len(d.reservoir))]
 				ch.user[i] = int32(p.user)
-				ch.setKey(i, p.pack)
+				ch.key[i] = uint16(p.pack)
 			} else {
 				ch.user[i] = int32(rng.Intn(d.users))
-				ch.setKey(i, d.keys.Next(rng))
+				ch.key[i] = uint16(d.keys.Next(rng))
 			}
 			continue
 		}
@@ -142,7 +142,7 @@ func (d *drawer) fill(ch *chunk) {
 		u := int64(rng.Intn(d.users))
 		k := d.keys.Next(rng)
 		ch.user[i] = int32(u)
-		ch.setKey(i, k)
+		ch.key[i] = uint16(k)
 		ch.price[i] = uint16(rng.Intn(d.maxPrice)) + 1
 		if d.adsShare > 0 {
 			d.remember(purchaseID{user: u, pack: k})
@@ -161,21 +161,12 @@ func (d *drawer) remember(p purchaseID) {
 	}
 }
 
-// shape is the column layout of a tape's chunks.  Users always fit int32
-// and prices uint16 (Config.Validate); keys fit int32 for every distribution this package
-// defines with an int32-sized range, and the rest store them wide.
-type shape struct {
-	wideKeys bool
-	disorder bool
-}
-
-// bytes returns the bytes one chunk of this shape retains.
-func (s shape) bytes() int64 {
-	row := 1 + 4 + 4 + 2 // stream, user, key, price
-	if s.wideKeys {
-		row += 4
-	}
-	if s.disorder {
+// chunkBytes returns the bytes one chunk retains.  Users fit int32,
+// prices uint16 and keys uint16 (Config.Validate, checkedKeys); the
+// disorder column is present only when the stream draws disorder.
+func chunkBytes(disorder bool) int64 {
+	row := 1 + 4 + 2 + 2 // stream, user, key, price
+	if disorder {
 		row += 8
 	}
 	return int64(row) * tapeChunkRows
@@ -184,39 +175,24 @@ func (s shape) bytes() int64 {
 // chunk is tapeChunkRows drawn rows in compact columns.  A published chunk
 // is never written again.
 type chunk struct {
-	shape   shape
-	stream  []tuple.StreamID
-	user    []int32
-	key     []int32 // nil when wideKey holds the keys
-	wideKey []int64
-	price   []uint16
-	shift   []time.Duration // nil without disorder
+	stream []tuple.StreamID
+	user   []int32
+	key    []uint16
+	price  []uint16
+	shift  []time.Duration // nil without disorder
 }
 
-func newChunk(s shape) *chunk {
+func newChunk(disorder bool) *chunk {
 	ch := &chunk{
-		shape:  s,
 		stream: make([]tuple.StreamID, tapeChunkRows),
 		user:   make([]int32, tapeChunkRows),
+		key:    make([]uint16, tapeChunkRows),
 		price:  make([]uint16, tapeChunkRows),
 	}
-	if s.wideKeys {
-		ch.wideKey = make([]int64, tapeChunkRows)
-	} else {
-		ch.key = make([]int32, tapeChunkRows)
-	}
-	if s.disorder {
+	if disorder {
 		ch.shift = make([]time.Duration, tapeChunkRows)
 	}
 	return ch
-}
-
-func (ch *chunk) setKey(i int, k int64) {
-	if ch.wideKey != nil {
-		ch.wideKey[i] = k
-	} else {
-		ch.key[i] = int32(k)
-	}
 }
 
 // copyTo copies the chunk's rows [off, off+n) into dst's drawn columns at
@@ -228,13 +204,9 @@ func (ch *chunk) copyTo(dst tuple.Cols, at, off, n int) {
 	for i, v := range ch.user[off : off+n] {
 		users[i] = int64(v)
 	}
-	if ch.wideKey != nil {
-		copy(dst.GemPackID[at:at+n], ch.wideKey[off:off+n])
-	} else {
-		keys := dst.GemPackID[at : at+n]
-		for i, v := range ch.key[off : off+n] {
-			keys[i] = int64(v)
-		}
+	keys := dst.GemPackID[at : at+n]
+	for i, v := range ch.key[off : off+n] {
+		keys[i] = int64(v)
 	}
 	prices := dst.Price[at : at+n]
 	for i, v := range ch.price[off : off+n] {
@@ -278,27 +250,26 @@ type zipfKey struct {
 	s float64
 }
 
-// wideKeys reports whether d may draw keys outside the int32 range.
-func wideKeys(d KeyDist) bool {
-	switch d := d.(type) {
-	case NormalKeys:
-		return d.N > math.MaxInt32
-	case UniformKeys:
-		return d.N > math.MaxInt32
-	case *ZipfKeys:
-		return d.N > math.MaxInt32
-	case SingleKey:
-		return d.K != int64(int32(d.K))
+// checkedKeys wraps a KeyDist this package does not define, which
+// Config.Validate cannot bound, and panics on its first key outside
+// [0, tuple.KeyDomain): the tape's key column is 16 bits wide and the
+// engines index per-key state by key.
+type checkedKeys struct{ KeyDist }
+
+func (d checkedKeys) Next(r *sim.RNG) int64 {
+	k := d.KeyDist.Next(r)
+	if k < 0 || k >= tuple.KeyDomain {
+		panic(fmt.Sprintf("generator: %T drew key %d outside [0, %d)", d.KeyDist, k, tuple.KeyDomain))
 	}
-	return true
+	return k
 }
 
 // tape is one stream's published rows and the drawer standing at their end.
 type tape struct {
-	mu     sync.Mutex
-	chunks []*chunk
-	d      drawer
-	shape  shape
+	mu       sync.Mutex
+	chunks   []*chunk
+	d        drawer
+	disorder bool
 
 	// Guarded by cache.mu.  cache is nil for a private tape.
 	cache   *tapeCache
@@ -316,10 +287,13 @@ func newTape(seed uint64, cfg Config, c *tapeCache) *tape {
 	if b, ok := keys.(boundKeyDist); ok {
 		keys = b.bound()
 	}
+	if _, defined := tapeKeys(keys); !defined {
+		keys = checkedKeys{keys}
+	}
 	t := &tape{
-		d:     drawer{draws: drawsOf(cfg), keys: keys},
-		shape: shape{wideKeys: wideKeys(cfg.Keys), disorder: cfg.DisorderProb > 0},
-		cache: c,
+		d:        drawer{draws: drawsOf(cfg), keys: keys},
+		disorder: cfg.DisorderProb > 0,
+		cache:    c,
 	}
 	t.d.rng.Reseed(seed, "generator")
 	return t
@@ -340,7 +314,7 @@ func (t *tape) read(i int, priv *drawer) *chunk {
 		return t.chunks[i]
 	}
 	if t.cache != nil && t.cache.reserve(t) {
-		ch := newChunk(t.shape)
+		ch := newChunk(t.disorder)
 		t.d.fill(ch)
 		t.chunks = append(t.chunks, ch)
 		return ch
@@ -353,7 +327,7 @@ func (t *tape) read(i int, priv *drawer) *chunk {
 // retained bytes; the first chunk of a joinable stream also counts the
 // reservoir its drawer may fill.
 func (t *tape) nextBytes() int64 {
-	b := t.shape.bytes()
+	b := chunkBytes(t.disorder)
 	if len(t.chunks) == 0 && t.d.adsShare > 0 {
 		b += reservoirSize * purchaseBytes
 	}
@@ -489,8 +463,8 @@ func (c *cursor) advance() {
 		}
 		c.private = true
 	}
-	if c.own == nil || c.own.shape != c.t.shape {
-		c.own = newChunk(c.t.shape)
+	if c.own == nil || (c.own.shift != nil) != c.t.disorder {
+		c.own = newChunk(c.t.disorder)
 	}
 	c.priv.fill(c.own)
 	c.ch = c.own

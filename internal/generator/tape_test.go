@@ -1,6 +1,8 @@
 package generator
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +17,6 @@ func useTapes(t testing.TB, c *tapeCache) {
 	old := tapes
 	tapes = c
 	t.Cleanup(func() { tapes = old })
-}
-
-// chunkBytes is what one chunk of cfg's tape retains.
-func chunkBytes(cfg Config) int64 {
-	return shape{wideKeys: wideKeys(cfg.Keys), disorder: cfg.DisorderProb > 0}.bytes()
 }
 
 // tapeConfig generates 40,000 rows a second, so a one-second run reads
@@ -47,7 +44,6 @@ func TestTapeRunIdentity(t *testing.T) {
 	configs := map[string]func(*Config){
 		"zipf":       func(c *Config) { c.Keys = &ZipfKeys{N: 50, S: 1.4} },
 		"single-key": func(c *Config) { c.Keys = SingleKey{K: 42} },
-		"wide-key":   func(c *Config) { c.Keys = SingleKey{K: 1 << 40} },
 		"private":    func(c *Config) { c.Keys = sliceKeys{ks: []int64{3, 1, 4, 1, 5}} },
 	}
 	for name, mutate := range drawOrderConfigs {
@@ -75,9 +71,41 @@ func TestTapeRunIdentity(t *testing.T) {
 			check(t, !shared)
 		})
 		t.Run(name+"/past-cap", func(t *testing.T) {
-			useTapes(t, newTapeCache(tapeBudget, chunkBytes(cfg)+reservoirSize*purchaseBytes))
+			useTapes(t, newTapeCache(tapeBudget, chunkBytes(cfg.DisorderProb > 0)+reservoirSize*purchaseBytes))
 			check(t, true)
 		})
+	}
+}
+
+// TestTapeKeyDomain pins the tape's 16-bit key column: a key distribution
+// this package defines is rejected by Validate once its range passes
+// tuple.KeyDomain, and any other distribution is caught at its first key
+// outside the domain, before the key could be stored truncated.
+func TestTapeKeyDomain(t *testing.T) {
+	cfg := tapeConfig()
+	cfg.Keys = SingleKey{K: 1 << 40}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("a single key of 1<<40 passed validation")
+	}
+	if _, err := New(sim.NewKernel(1), cfg, queue.NewGroup("g", cfg.Instances, 0)); err == nil {
+		t.Fatal("a generator was built over a single key of 1<<40")
+	}
+
+	cfg.Keys = sliceKeys{ks: []int64{7, tuple.KeyDomain - 1}}
+	g, got := runGenerator(t, 3, cfg, 100*time.Millisecond)
+	checkDrawOrder(t, 3, cfg, 100*time.Millisecond, g, got)
+
+	for _, bad := range []int64{tuple.KeyDomain, -1} {
+		cfg.Keys = sliceKeys{ks: []int64{7, bad}}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("drew key %d outside [0, %d)", bad, tuple.KeyDomain)) {
+					t.Fatalf("key %d: want a panic naming the key and the domain, got %q", bad, msg)
+				}
+			}()
+			runGenerator(t, 3, cfg, 100*time.Millisecond)
+		}()
 	}
 }
 
@@ -155,7 +183,7 @@ func TestTapeConcurrentReaders(t *testing.T) {
 // whose tape is evicted meanwhile, must still yield the reference's rows.
 func TestTapeBudget(t *testing.T) {
 	cfg := tapeConfig()
-	one := chunkBytes(cfg)
+	one := chunkBytes(cfg.DisorderProb > 0)
 	c := newTapeCache(3*one, 2*one)
 	useTapes(t, c)
 	const runFor = time.Second
@@ -199,7 +227,7 @@ func TestTapeBudget(t *testing.T) {
 // aggregation stream: the per-row cost every replaying run saves.
 func BenchmarkTapeDraw(b *testing.B) {
 	tp := newTape(1, baseConfig(), nil)
-	ch := newChunk(tp.shape)
+	ch := newChunk(tp.disorder)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

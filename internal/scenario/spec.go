@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/generator"
+	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -637,12 +638,16 @@ func (k Keys) validate(where string) error {
 		if k.N <= 0 {
 			return fmt.Errorf("%s: %s keys need n > 0", where, k.Kind)
 		}
+		if k.N > tuple.KeyDomain {
+			return fmt.Errorf("%s: %s keys need n <= %d (gemPackIDs lie in [0, %d)), got %d",
+				where, k.Kind, tuple.KeyDomain, tuple.KeyDomain, k.N)
+		}
 		if k.Kind == "zipf" && k.S <= 1 {
 			return fmt.Errorf("%s: zipf keys need exponent s > 1, got %v", where, k.S)
 		}
 	case "single":
-		if k.Key < 0 {
-			return fmt.Errorf("%s: single key must be >= 0", where)
+		if k.Key < 0 || k.Key >= tuple.KeyDomain {
+			return fmt.Errorf("%s: single key must be in [0, %d), got %d", where, tuple.KeyDomain, k.Key)
 		}
 	default:
 		return fmt.Errorf("%s: unknown key distribution %q (normal | uniform | zipf | single)", where, k.Kind)

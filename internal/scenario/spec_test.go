@@ -82,6 +82,12 @@ func TestSpecValidationFailures(t *testing.T) {
 		{"bad key kind", func(s *Spec) { s.Sweeps[0].Load.Keys = &Keys{Kind: "pareto"} }, "unknown key distribution"},
 		{"zipf without exponent", func(s *Spec) { s.Sweeps[0].Load.Keys = &Keys{Kind: "zipf", N: 100} }, "s > 1"},
 		{"uniform without n", func(s *Spec) { s.Sweeps[0].Load.Keys = &Keys{Kind: "uniform"} }, "n > 0"},
+		{"zipf past the key domain", func(s *Spec) {
+			s.Sweeps[0].Load.Keys = &Keys{Kind: "zipf", N: 65_537, S: 1.2}
+		}, "n <= 65536"},
+		{"single key past the key domain", func(s *Spec) {
+			s.Sweeps[0].Load.Keys = &Keys{Kind: "single", Key: 65_536}
+		}, "[0, 65536)"},
 		{"duplicate engine", func(s *Spec) { s.Sweeps[0].Engines = []string{"flink", "flink"} }, "duplicate grid point"},
 		{"identical sweeps", func(s *Spec) { s.Sweeps = append(s.Sweeps, s.Sweeps[0]) }, "duplicate grid point"},
 		{"metric key collision", func(s *Spec) {
@@ -106,6 +112,27 @@ func TestSpecValidationFailures(t *testing.T) {
 				t.Fatal("Compile accepted a spec Validate rejects")
 			}
 		})
+	}
+}
+
+// TestSpecKeyDomainEdge pins the top of the key domain: n = 65,535 and
+// key = 65,535 are within [0, tuple.KeyDomain), so they validate and
+// compile into a generator config the generator accepts.
+func TestSpecKeyDomainEdge(t *testing.T) {
+	for _, k := range []Keys{
+		{Kind: "normal", N: 65_535},
+		{Kind: "uniform", N: 65_535},
+		{Kind: "zipf", N: 65_535, S: 1.2},
+		{Kind: "single", Key: 65_535},
+	} {
+		s := validSpec()
+		s.Sweeps[0].Load.Keys = &k
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%+v rejected: %v", k, err)
+		}
+		if _, err := Compile(s); err != nil {
+			t.Fatalf("%+v does not compile: %v", k, err)
+		}
 	}
 }
 

@@ -6,7 +6,10 @@
 // event-time of all contributing inputs, and likewise for processing-time).
 package tuple
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // StreamID identifies which of the two workload streams an event belongs to.
 type StreamID uint8
@@ -59,6 +62,23 @@ type Event struct {
 // fabric saturate at ~1.2M events/s, which is exactly the network bound the
 // paper reports for Flink.
 const WireSizeBytes = 100
+
+// KeyDomain bounds the gemPackID field: generated keys lie in
+// [0, KeyDomain).  The paper groups by 1,000 gem packs; the bound leaves
+// room for any spec while letting per-key state (hot-key counts, pane
+// partials) live in slices indexed by key instead of hash tables.
+// generator.Config.Validate enforces it for every distribution the
+// generator defines, and the draw tape checks any other as it draws.
+const KeyDomain = 1 << 16
+
+// GrowToKey extends a slice indexed by gemPackID with zero values so that
+// it covers key.  It panics on a key outside [0, KeyDomain), naming it.
+func GrowToKey[T any](s []T, key int64) []T {
+	if key < 0 || key >= KeyDomain {
+		panic(fmt.Sprintf("tuple: key %d outside [0, %d)", key, KeyDomain))
+	}
+	return append(s, make([]T, int(key)+1-len(s))...)
+}
 
 // Key returns the grouping key for the aggregation query (GROUP BY
 // gemPackID).

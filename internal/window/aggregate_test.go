@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,8 +174,9 @@ func (r *refAggregator) Fire(watermark time.Duration) []Result {
 // brute-force per-window reference with the same random operations —
 // in-order, disordered and late events, arrival-time adds, row and batch
 // adds, stepped, stalled, backward and jumping watermarks, size/slide
-// ratios 1-4, and a Reset aggregator — and requires identical fired
-// results (sums, counts, weights, provenance, order), LateDropped and
+// ratios 1-4, keys from across the key domain, and a Reset aggregator —
+// and requires identical fired results (sums, counts, weights,
+// provenance, order), LateDropped and
 // per-event live-window counts throughout: pane sharing is
 // semantics-preserving (Experiment 3's Inverse Reduce fix).
 func TestPaneAggregatorEquivalenceProperty(t *testing.T) {
@@ -204,7 +206,16 @@ func TestPaneAggregatorEquivalenceProperty(t *testing.T) {
 				at -= time.Duration(r.Intn(int(3*asg.Size/time.Millisecond))) * time.Millisecond
 				at = max(at, 0)
 			}
-			e := ev(tuple.Purchases, int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(1000))-100, at)
+			// Mostly a few hot keys; now and then one from across the key
+			// domain, its top included, so pane slabs grow mid-run.
+			key := int64(r.Intn(5))
+			switch r.Intn(50) {
+			case 0:
+				key = int64(r.Intn(2000))
+			case 1:
+				key = tuple.KeyDomain - 1
+			}
+			e := ev(tuple.Purchases, int64(r.Intn(5)), key, int64(r.Intn(1000))-100, at)
 			e.Weight = int64(r.Intn(200)) + 1
 			e.IngestTime = now + time.Duration(r.Intn(50))*time.Millisecond
 			return e
@@ -387,7 +398,7 @@ func BenchmarkWindowBufferedAdd(b *testing.B) {
 }
 
 // BenchmarkWindowKeyedFire measures the full keyed window lifecycle on
-// the flat-table pane state — Add across 100 keys, then periodic Fire
+// the key-indexed pane state — Add across 100 keys, then periodic Fire
 // assembling every window from its panes into the reused result slab —
 // the per-fire shape of every engine model's aggregation.  Pinned at
 // 0 allocs/op by scripts/bench-smoke.sh: the fire path must not regress
@@ -424,5 +435,23 @@ func BenchmarkWindowKeyedFire(b *testing.B) {
 	}
 	if fired == 0 {
 		b.Fatal("no windows fired")
+	}
+}
+
+// TestPaneAggregatorRejectsKeysOutsideDomain pins that a key outside
+// [0, tuple.KeyDomain) panics naming the key instead of growing a pane's
+// slab without bound or indexing out of range.
+func TestPaneAggregatorRejectsKeysOutsideDomain(t *testing.T) {
+	for _, key := range []int64{-1, tuple.KeyDomain} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("key %d outside", key); !strings.Contains(msg, want) {
+					t.Fatalf("key %d: want a panic containing %q, got %q", key, want, msg)
+				}
+			}()
+			NewPaneAggregator(mustAssigner(t, 8*time.Second, 4*time.Second)).
+				Add(ev(tuple.Purchases, 1, key, 10, time.Second))
+		}()
 	}
 }

@@ -3,7 +3,6 @@ package window
 import (
 	"time"
 
-	"repro/internal/flat"
 	"repro/internal/tuple"
 )
 
@@ -20,10 +19,24 @@ import (
 // operators — fire cost, modelled heap, cache behaviour — lives in each
 // engine model's constants and counters.  Its equivalence to a
 // brute-force per-(key, window) reference is property-tested.
+//
+// Keys lie in [0, tuple.KeyDomain), so a pane holds its partials in a
+// slice indexed by key, next to the list of keys it holds: folding a row
+// is a slice update, and a row finds its pane through a cache of the
+// pane span the previous row fell in (DESIGN-PERF §8.4).
 type PaneAggregator struct {
 	asg Assigner
-	// panes holds key × pane-end -> pane partial.
-	panes flat.Table[Agg]
+	// panes are the live panes in creation order; free holds retired
+	// ones, their partials zeroed, for reuse.
+	panes []*aggPane
+	free  []*aggPane
+	// [lo, hi) is the span of the pane the last row fell in, cur that
+	// pane (nil when every window it feeds has fired), and live and late
+	// its unfired and fired window counts.  Fire and Reset invalidate
+	// the cache by emptying the span.
+	lo, hi     time.Duration
+	cur        *aggPane
+	live, late int64
 	// firedThrough is the watermark cursor: every window with
 	// End <= firedThrough has already fired.  Panes outlive the windows
 	// they have fired in (a pane feeds size/slide windows), so firing
@@ -36,11 +49,40 @@ type PaneAggregator struct {
 	// (event, already-fired window) pair (allowed lateness zero, the
 	// engines' configuration in the paper).
 	lateDropped int64
-	// perKey is the per-window-assembly scratch table, reused across
-	// fires instead of allocating a map per window; out is Fire's
-	// reused result slab.
-	perKey flat.Table[Agg]
-	out    []Result
+	// acc is the per-window assembly slab, indexed by key and all zero
+	// between fires, and accKeys the keys one window's assembly holds;
+	// out is Fire's reused result slab.
+	acc     []Agg
+	accKeys []int32
+	out     []Result
+}
+
+// aggPane is one pane's per-key partials.
+type aggPane struct {
+	end  time.Duration
+	aggs []Agg   // by key; zero for every key not in keys
+	keys []int32 // keys holding a partial, in first-fold order
+}
+
+// at returns key's partial, entering key into the pane.  The caller
+// folds an event into it, which is what marks it held (Count > 0).
+func (p *aggPane) at(key int64) *Agg {
+	if uint64(key) >= uint64(len(p.aggs)) {
+		p.aggs = tuple.GrowToKey(p.aggs, key)
+	}
+	g := &p.aggs[key]
+	if g.Count == 0 {
+		p.keys = append(p.keys, int32(key))
+	}
+	return g
+}
+
+// clear zeroes the pane's partials for reuse.
+func (p *aggPane) clear() {
+	for _, k := range p.keys {
+		p.aggs[k] = Agg{}
+	}
+	p.keys = p.keys[:0]
 }
 
 // LateDropped returns the number of (event, window) contributions lost to
@@ -54,11 +96,11 @@ func NewPaneAggregator(asg Assigner) *PaneAggregator {
 }
 
 // Reset empties the aggregator for reuse under a (possibly different)
-// assigner, keeping grown table capacity (see driver.Probe).
+// assigner, keeping grown slabs (see driver.Probe).
 func (pa *PaneAggregator) Reset(asg Assigner) {
 	pa.asg = asg
-	pa.panes.Reset()
-	pa.perKey.Reset()
+	pa.retire(pa.maxEnd)
+	pa.lo, pa.hi, pa.cur = 0, 0, nil
 	pa.firedThrough = 0
 	pa.maxEnd = 0
 	pa.lateDropped = 0
@@ -80,12 +122,10 @@ func (pa *PaneAggregator) Add(e *tuple.Event) int64 {
 // event-time, which is how those windows expose their stale content as
 // event-time latency (Figure 7).
 func (pa *PaneAggregator) AddAt(e *tuple.Event, at time.Duration) int64 {
-	end := pa.asg.PaneOf(at).End
-	live := pa.live(end, 1)
-	if live > 0 {
-		pa.pane(e.Key(), end).add(e)
+	if p := pa.paneFor(at, 1); p != nil {
+		p.at(e.Key()).add(e)
 	}
-	return live
+	return pa.live
 }
 
 // AddBatch folds every event of the batch at its own event time, row
@@ -94,9 +134,8 @@ func (pa *PaneAggregator) AddAt(e *tuple.Event, at time.Duration) int64 {
 func (pa *PaneAggregator) AddBatch(b *tuple.Batch) {
 	c := b.Columns()
 	for i, et := range c.EventTime {
-		end := pa.asg.PaneOf(et).End
-		if pa.live(end, 1) > 0 {
-			pa.pane(c.GemPackID[i], end).addVals(c.Price[i], c.Weight[i], et, c.IngestTime[i])
+		if p := pa.paneFor(et, 1); p != nil {
+			p.at(c.GemPackID[i]).addVals(c.Price[i], c.Weight[i], et, c.IngestTime[i])
 		}
 	}
 }
@@ -107,31 +146,53 @@ func (pa *PaneAggregator) AddBatch(b *tuple.Batch) {
 // Equivalent to calling AddAt row by row.
 func (pa *PaneAggregator) AddBatchAt(b *tuple.Batch, at time.Duration) {
 	n := b.Len()
-	end := pa.asg.PaneOf(at).End
-	if n == 0 || pa.live(end, int64(n)) == 0 {
+	if n == 0 {
+		return
+	}
+	p := pa.paneFor(at, int64(n))
+	if p == nil {
 		return
 	}
 	c := b.Columns()
 	for i := 0; i < n; i++ {
-		pa.pane(c.GemPackID[i], end).addVals(c.Price[i], c.Weight[i], c.EventTime[i], c.IngestTime[i])
+		p.at(c.GemPackID[i]).addVals(c.Price[i], c.Weight[i], c.EventTime[i], c.IngestTime[i])
 	}
 }
 
-// live returns how many of the windows fed by the pane ending at end have
-// not fired, and counts the fired ones as lost for each of n events.
-func (pa *PaneAggregator) live(end time.Duration, n int64) int64 {
-	live, late := pa.asg.paneWindows(end, pa.firedThrough)
-	pa.lateDropped += late * n
-	return live
+// paneFor returns the pane containing time t, creating it, or nil when
+// every window the pane feeds has fired; the fired windows count as lost
+// for each of n events.  A t in the cached span skips the lookup.
+func (pa *PaneAggregator) paneFor(t time.Duration, n int64) *aggPane {
+	if t < pa.lo || t >= pa.hi {
+		pa.locate(t)
+	}
+	pa.lateDropped += pa.late * n
+	return pa.cur
 }
 
-// pane returns the partial of key's pane ending at end, creating it.
-func (pa *PaneAggregator) pane(key int64, end time.Duration) *Agg {
-	g, fresh := pa.panes.Upsert(flat.K2(key, int64(end)))
-	if fresh && end > pa.maxEnd {
-		pa.maxEnd = end
+// locate fills the pane cache for the pane containing t.
+func (pa *PaneAggregator) locate(t time.Duration) {
+	end := pa.asg.PaneOf(t).End
+	pa.lo, pa.hi = end-pa.asg.Slide, end
+	pa.live, pa.late = pa.asg.paneWindows(end, pa.firedThrough)
+	pa.cur = nil
+	if pa.live == 0 {
+		return
 	}
-	return g
+	for _, p := range pa.panes {
+		if p.end == end {
+			pa.cur = p
+			return
+		}
+	}
+	if k := len(pa.free); k > 0 {
+		pa.cur, pa.free = pa.free[k-1], pa.free[:k-1]
+	} else {
+		pa.cur = &aggPane{}
+	}
+	pa.cur.end = end
+	pa.panes = append(pa.panes, pa.cur)
+	pa.maxEnd = max(pa.maxEnd, end)
 }
 
 // Fire assembles and returns the aggregate of every window with End in
@@ -154,41 +215,66 @@ func (pa *PaneAggregator) Fire(watermark time.Duration) []Result {
 		w := ID{End: end}
 		// A pane with end p feeds windows with End in [p, p+Size-Slide];
 		// the window's panes are those with end in (End-Size, End].
-		pa.perKey.Reset()
-		pa.panes.Range(func(kw flat.Key, g *Agg) bool {
-			if pe := time.Duration(kw.B); pe > w.End-pa.asg.Size && pe <= w.End {
-				acc, _ := pa.perKey.Upsert(flat.K(kw.A))
-				acc.merge(*g)
+		for _, p := range pa.panes {
+			if p.end <= w.End-pa.asg.Size || p.end > w.End {
+				continue
 			}
-			return true
-		})
-		pa.perKey.Range(func(k flat.Key, g *Agg) bool {
-			pa.out = append(pa.out, Result{Key: k.A, Window: w, Agg: *g})
-			return true
-		})
+			if len(pa.acc) < len(p.aggs) {
+				pa.acc = tuple.GrowToKey(pa.acc, int64(len(p.aggs)-1))
+			}
+			for _, k := range p.keys {
+				acc := &pa.acc[k]
+				if acc.Count == 0 {
+					pa.accKeys = append(pa.accKeys, k)
+				}
+				acc.merge(p.aggs[k])
+			}
+		}
+		for _, k := range pa.accKeys {
+			pa.out = append(pa.out, Result{Key: int64(k), Window: w, Agg: pa.acc[k]})
+			pa.acc[k] = Agg{}
+		}
+		pa.accKeys = pa.accKeys[:0]
 	}
 	pa.firedThrough = watermark
+	pa.lo, pa.hi, pa.cur = 0, 0, nil
 
 	// Retire panes that have left every window still to fire.  A pane
 	// with end p contributes to windows with End in [p, p+Size-Slide];
 	// once watermark >= p+Size-Slide it can never be needed again.
-	horizon := watermark - pa.asg.Size + pa.asg.Slide
-	pa.panes.Range(func(kw flat.Key, _ *Agg) bool {
-		if time.Duration(kw.B) <= horizon {
-			pa.panes.Delete(kw)
-		}
-		return true
-	})
+	pa.retire(watermark - pa.asg.Size + pa.asg.Slide)
 
 	sortResults(pa.out)
 	return pa.out
 }
 
-// LiveEntries returns the number of (key, pane) partials held.
-func (pa *PaneAggregator) LiveEntries() int { return pa.panes.Len() }
+// retire moves every pane with end <= horizon to the free list.
+func (pa *PaneAggregator) retire(horizon time.Duration) {
+	live := pa.panes[:0]
+	for _, p := range pa.panes {
+		if p.end <= horizon {
+			p.clear()
+			pa.free = append(pa.free, p)
+		} else {
+			live = append(live, p)
+		}
+	}
+	clear(pa.panes[len(live):])
+	pa.panes = live
+}
 
-// StateBytes estimates resident state: one Agg per (key, pane) entry.
+// LiveEntries returns the number of (key, pane) partials held.
+func (pa *PaneAggregator) LiveEntries() int {
+	n := 0
+	for _, p := range pa.panes {
+		n += len(p.keys)
+	}
+	return n
+}
+
+// StateBytes estimates the resident state a keyed engine operator holds:
+// one hash-table entry per (key, pane) partial.
 func (pa *PaneAggregator) StateBytes() int64 {
 	const bytesPerEntry = 96 // Agg + table overhead, rounded up
-	return int64(pa.panes.Len()) * bytesPerEntry
+	return int64(pa.LiveEntries()) * bytesPerEntry
 }

@@ -11,8 +11,8 @@
 # benchmarks are the steady-state contracts of DESIGN-PERF.md: the queue
 # ring, the generator tick, the window aggregation slab recycling, the
 # kernel's value-based scheduler (§7), the flat keyed-state tables,
-# the keyed window fire path (§8) and the buffered join fire path (§2)
-# must never allocate per event.
+# the keyed window fire path (§8), the buffered join fire path (§2) and
+# the runtime's hot-key feed (§8.4) must never allocate per event.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,9 +20,9 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 if ! go test -run=NONE \
-	-bench='BenchmarkQueuePushPop|BenchmarkGroupScatterDrain|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkWindowJoinFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend' \
+	-bench='BenchmarkQueuePushPop|BenchmarkGroupScatterDrain|BenchmarkGeneratorTick|BenchmarkWindowAggregate|BenchmarkWindowKeyedFire|BenchmarkWindowJoinFire|BenchmarkKernelSchedule|BenchmarkFlatTablePutGet|BenchmarkBatchColumnAppend|BenchmarkHotKeyObserve' \
 	-benchtime=100x -benchmem \
-	./internal/queue/ ./internal/generator/ ./internal/window/ ./internal/sim/ ./internal/flat/ ./internal/tuple/ >"$out" 2>&1; then
+	./internal/queue/ ./internal/generator/ ./internal/window/ ./internal/sim/ ./internal/flat/ ./internal/tuple/ ./internal/engine/ >"$out" 2>&1; then
 	cat "$out"
 	exit 1
 fi
