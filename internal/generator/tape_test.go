@@ -44,7 +44,9 @@ func TestTapeRunIdentity(t *testing.T) {
 	configs := map[string]func(*Config){
 		"zipf":       func(c *Config) { c.Keys = &ZipfKeys{N: 50, S: 1.4} },
 		"single-key": func(c *Config) { c.Keys = SingleKey{K: 42} },
-		"private":    func(c *Config) { c.Keys = sliceKeys{ks: []int64{3, 1, 4, 1, 5}} },
+		// The widest key the tape's uint16 column holds.
+		"wide-key": func(c *Config) { c.Keys = SingleKey{K: tuple.KeyDomain - 1} },
+		"private":  func(c *Config) { c.Keys = sliceKeys{ks: []int64{3, 1, 4, 1, 5}} },
 	}
 	for name, mutate := range drawOrderConfigs {
 		configs[name] = mutate
